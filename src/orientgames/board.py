@@ -9,7 +9,8 @@ Pairs are stored in a flat triangular bytearray indexed by (u, v) with
 u < v, one state byte per pair (0 undirected, 1 low-to-high, 2
 high-to-low).  The raw bytes double as the canonical board encoding used
 for solver memoization: a base-3 digit string in pair-index order, which is
-injective and cheap to hash.
+injective and cheap to hash.  Per-vertex out- and in-degree counts are kept
+beside the bytes, updated on every orientation, so degree queries are O(1).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ def all_pairs(n: int):
 class Board:
     """A partial orientation of K_n on vertices 0..n-1."""
 
-    __slots__ = ("n", "_st", "undirected_count")
+    __slots__ = ("n", "_st", "undirected_count", "_out", "_in")
 
     def __init__(self, n: int):
         if n < 1:
@@ -50,6 +51,8 @@ class Board:
         self.n = n
         self._st = bytearray(pair_count(n))
         self.undirected_count = pair_count(n)
+        self._out = [0] * n
+        self._in = [0] * n
 
     # -- basic queries -------------------------------------------------
 
@@ -83,17 +86,35 @@ class Board:
             raise AlreadyOriented(f"pair ({a},{b}) already oriented")
         self._st[i] = LOW_HIGH if u < v else HIGH_LOW
         self.undirected_count -= 1
+        self._out[u] += 1
+        self._in[v] += 1
 
     def _undo_orient(self, u: int, v: int) -> None:
-        # Solver-internal: revert the most recent orient of this pair.
+        # Solver-internal: make the pair {u, v} undirected again.  The arc's
+        # direction is read from the stored byte, not from the argument order.
         a, b = (u, v) if u < v else (v, u)
         i = pair_index(self.n, a, b)
-        assert self._st[i] != UNDIRECTED
+        s = self._st[i]
+        assert s != UNDIRECTED
+        tail, head = (a, b) if s == LOW_HIGH else (b, a)
         self._st[i] = UNDIRECTED
         self.undirected_count += 1
+        self._out[tail] -= 1
+        self._in[head] -= 1
 
     def is_tournament(self) -> bool:
         return self.undirected_count == 0
+
+    def lowest_undirected(self) -> tuple[int, int] | None:
+        """First undirected pair in canonical order, or None on a tournament."""
+        i = self._st.find(UNDIRECTED)
+        if i < 0:
+            return None
+        u = 0
+        while i >= self.n - 1 - u:
+            i -= self.n - 1 - u
+            u += 1
+        return (u, u + 1 + i)
 
     def undirected_pairs(self) -> list[tuple[int, int]]:
         """Undirected pairs in canonical (u < v) lexicographic order."""
@@ -129,11 +150,25 @@ class Board:
     def in_neighbors(self, v: int) -> list[int]:
         return [w for w in range(self.n) if w != v and self.arc(v, w) == -1]
 
+    def undirected_neighbors(self, v: int) -> list[int]:
+        """Vertices w whose pair with v is still undirected, ascending."""
+        n, st = self.n, self._st
+        out = []
+        i = v - 1  # index of pair (0, v); pair (w+1, v) sits n-2-w further on
+        for w in range(v):
+            if st[i] == UNDIRECTED:
+                out.append(w)
+            i += n - 2 - w
+        base = pair_index(n, v, v + 1)
+        row = st[base : base + n - 1 - v]
+        out.extend(v + 1 + j for j, s in enumerate(row) if s == UNDIRECTED)
+        return out
+
     def out_degree(self, v: int) -> int:
-        return sum(1 for w in range(self.n) if w != v and self.arc(v, w) == 1)
+        return self._out[v]
 
     def in_degree(self, v: int) -> int:
-        return sum(1 for w in range(self.n) if w != v and self.arc(v, w) == -1)
+        return self._in[v]
 
     def out_set(self, vertices) -> set[int]:
         """N+(A): vertices outside A receiving an arc from A."""
@@ -160,6 +195,8 @@ class Board:
         b.n = self.n
         b._st = bytearray(self._st)
         b.undirected_count = self.undirected_count
+        b._out = self._out[:]
+        b._in = self._in[:]
         return b
 
     def canonical_key(self) -> bytes:

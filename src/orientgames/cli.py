@@ -215,6 +215,23 @@ def _load_cache(path: str) -> dict:
     return doc
 
 
+def _write_cache(path: str, doc: dict) -> None:
+    # Write beside the target, then rename over it: a crash mid-write
+    # leaves the previous cache whole instead of truncated.
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_solve(args) -> int:
     prop = property_from_key(args.property)
     cache_key = f"n={args.n};p={args.p};q={args.q};prop={args.property}"
@@ -231,9 +248,7 @@ def cmd_solve(args) -> int:
             print(f"  {role}: {arcs}")
     if cache is not None:
         cache["results"][cache_key] = {"winner": result.winner, "nodes": result.nodes}
-        with open(args.cache, "w") as fh:
-            json.dump(cache, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_cache(args.cache, cache)
     return EXIT_OK
 
 

@@ -217,6 +217,9 @@ def validate_move(board: Board, move, bias: int):
         if len(arc) != 2:
             return f"malformed arc {arc!r}"
         u, v = arc
+        # Exactly int: a bool would pass as one but be recorded as "True>2".
+        if type(u) is not int or type(v) is not int:
+            return f"non-integer vertex in arc {arc!r}"
         if u == v:
             return f"self-loop at {u}"
         if not (0 <= u < board.n and 0 <= v < board.n):

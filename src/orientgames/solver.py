@@ -159,7 +159,6 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
     walk(MAKER, p, False, 0)
     if turn_arcs:
         pv.append((MAKER if len(pv) % 2 == 0 else BREAKER, tuple(turn_arcs)))
-    # The walk may leave the shared board dirty; rebuild for safety.
     return SolveResult(
         winner=MAKER if maker_wins else BREAKER,
         nodes=stats["nodes"],

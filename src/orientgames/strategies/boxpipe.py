@@ -36,12 +36,9 @@ class BreakerBoxHamilton(Strategy):
         self.boxes = BoxGameState(
             sizes=[len(self.side_b)] * b, variant="twobox", virtual_pad=b
         )
-        self.in_deg = [0] * n
-        self.finished_star: int | None = None
 
     def observe(self, board, role, move):
         for (u, v) in move:
-            self.in_deg[v] += 1
             if v < self.b and not self.boxes.destroyed[v]:
                 self.boxes.destroy(v)
 
@@ -103,12 +100,8 @@ class BreakerBoxHamilton(Strategy):
         # Endgame: a complete live box becomes a full out-star; once all
         # n-1 arcs at u point outward its in-degree is 0 forever.
         for u in self.side_a:
-            if self.boxes.completed[u] and self.in_deg[u] == 0:
-                arcs = [
-                    (u, w)
-                    for w in range(board.n)
-                    if w != u and board.is_undirected(u, w)
-                ]
+            if self.boxes.completed[u] and board.in_degree(u) == 0:
+                arcs = [(u, w) for w in board.undirected_neighbors(u)]
                 if arcs:
                     return tuple(arcs[: self.config.q])
         if self.boxes.live_incomplete():
@@ -139,8 +132,5 @@ class BreakerBoxHamilton(Strategy):
                 if not live_box(u):
                     fallback = (v, u)
                     break
-            if fallback is None:
-                u, v = board.undirected_pairs()[0]
-                fallback = (u, v)
-            arcs = [fallback]
+            arcs = [fallback or board.lowest_undirected()]
         return tuple(arcs)

@@ -47,21 +47,12 @@ def default_expansion_size(n: int) -> int:
     return min(n, math.ceil(n / math.log(n) ** 0.4))
 
 
-def free_degree_floor(n: int) -> float:
-    """15 / (ln n)^(1/4); vacuous (> 1) at desk scale, recorded for audits."""
-    if n < 3:
-        return 1.0
-    return 15.0 / math.log(n) ** 0.25
-
-
 @dataclass
 class Stage2Config:
     tstar: np.ndarray  # boolean adjacency of the template tournament
     k: int  # expansion set size
     round_cap: int  # stage-1 budget, 8n
-    delta: float  # stage-1 free-degree floor
     sample_budget: int = 4096
-    exact: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +393,10 @@ class MakerHamilton(Strategy):
     role = MAKER
 
     def __init__(self, k: int | None = None, sample_budget: int = 4096,
-                 exact_stage2: bool = False, audit_samples: int = 10_000,
+                 audit_samples: int = 10_000,
                  target_degree: int | None = None):
         self.k_override = k
         self.sample_budget = sample_budget
-        self.exact_stage2 = exact_stage2
         self.audit_samples = audit_samples
         self.target_degree = target_degree
 
@@ -419,9 +409,7 @@ class MakerHamilton(Strategy):
             tstar=tstar,
             k=k,
             round_cap=8 * n,
-            delta=free_degree_floor(n),
             sample_budget=self.sample_budget,
-            exact=self.exact_stage2,
         )
         self.ledger = DangerLedger(n, config.q, target=self.target_degree)
         self.stage = 1
@@ -456,7 +444,6 @@ class MakerHamilton(Strategy):
             self.cfg.k,
             threat_bias=self.config.q,
             sample_budget=self.cfg.sample_budget,
-            exact=self.cfg.exact,
             seed=self.config.seed,
         )
 
@@ -515,11 +502,8 @@ class MakerHamilton(Strategy):
         if choice is not None and board.is_undirected(*choice):
             return (choice,)
         # No live sampled cut names an arc: any agreeing pair will do.
-        for (u, v) in board.undirected_pairs():
-            if self.cfg.tstar[u, v]:
-                return ((u, v),)
-            return ((v, u),)
-        raise NoAgreeingPair("unreachable: every undirected pair agrees one way")
+        u, v = board.lowest_undirected()
+        return ((u, v),) if self.cfg.tstar[u, v] else ((v, u),)
 
 
 class MakerNonKColorable(Strategy):
@@ -569,8 +553,8 @@ class MakerNonKColorable(Strategy):
         choice = self.cut_engine.choose()
         if choice is not None and board.is_undirected(*choice):
             return (choice,)
-        for (u, v) in board.undirected_pairs():
-            if self.tstar[u, v]:
-                return ((u, v),)
-            return ((v, u),)
-        raise NoAgreeingPair("asked to move on a complete board")
+        pair = board.lowest_undirected()
+        if pair is None:
+            raise NoAgreeingPair("asked to move on a complete board")
+        u, v = pair
+        return ((u, v),) if self.tstar[u, v] else ((v, u),)

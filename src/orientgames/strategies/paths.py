@@ -17,17 +17,6 @@ from ..engine import BREAKER, MAKER, Strategy
 from ..errors import StrategyStuck
 
 
-def _lowest_undirected(board: Board):
-    st = board._st
-    i = 0
-    for u in range(board.n):
-        for v in range(u + 1, board.n):
-            if st[i] == 0:
-                return (u, v)
-            i += 1
-    return None
-
-
 class MakerCycle(Strategy):
     """Close a cycle as soon as an undirected back-pair allows, else extend."""
 
@@ -89,7 +78,7 @@ class MakerCycle(Strategy):
         if self.closed is not None:
             return (self._filler(board),)
         if not self.path:
-            pair = _lowest_undirected(board)
+            pair = board.lowest_undirected()
             self.path = [pair[0], pair[1]]
             return (pair,)
         self._absorb(board)
@@ -125,7 +114,7 @@ class MakerCycle(Strategy):
         return (self._filler(board),)
 
     def _filler(self, board: Board):
-        pair = _lowest_undirected(board)
+        pair = board.lowest_undirected()
         if pair is None:
             raise StrategyStuck("asked to move on a complete board")
         return pair
@@ -161,13 +150,12 @@ class BreakerOutStar(Strategy):
         taken = set()
         if last is not None:
             for (u, _v) in last:
-                for w in range(board.n):
-                    if w != u and board.is_undirected(u, w) and (u, w) not in taken:
+                for w in board.undirected_neighbors(u):
+                    if (u, w) not in taken:
                         arcs.append((u, w))
                         taken.add((u, w))
         if len(arcs) > self.config.q:
             arcs = arcs[: self.config.q]
         if not arcs:
-            pair = _lowest_undirected(board)
-            arcs = [pair]
+            arcs = [board.lowest_undirected()]
         return tuple(arcs)

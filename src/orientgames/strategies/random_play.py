@@ -1,8 +1,8 @@
 """Random baseline and greedy adversary strategies.
 
-These are the opponents the pipeline suites run against.  They keep their
-own incremental views of the board (free-pair list, degree counters) so a
-move costs O(bias), not O(n^2)."""
+These are the opponents the pipeline suites run against.  The random
+strategy keeps its own free-pair list so a move costs O(bias), not O(n^2);
+the greedy ones read vertex degrees straight from the board."""
 
 from __future__ import annotations
 
@@ -69,31 +69,20 @@ class BreakerGreedyStar(Strategy):
 
     role = BREAKER
 
-    def start(self, config, rng):
-        super().start(config, rng)
-        n = config.n
-        self.in_deg = [0] * n
-        self.free_at = [set(range(n)) - {v} for v in range(n)]
-
-    def observe(self, board, role, move):
-        for (u, v) in move:
-            self.in_deg[v] += 1
-            self.free_at[u].discard(v)
-            self.free_at[v].discard(u)
-
     def next_move(self, board: Board, transcript):
         n = board.n
+        ins = [board.in_degree(v) for v in range(n)]
+        free = [n - 1 - board.out_degree(v) - ins[v] for v in range(n)]
         arcs = []
         budget = self.config.q
         excluded: set[int] = set()
         claimed: set[tuple[int, int]] = set()
         while budget > 0:
-            candidates = [v for v in range(n) if v not in excluded and self.free_at[v]]
+            candidates = [(ins[v], free[v], v) for v in range(n) if v not in excluded and free[v]]
             if not candidates:
                 break
-            target = min(candidates, key=lambda v: (self.in_deg[v], len(self.free_at[v]), v))
-            outs = sorted(self.free_at[target])
-            for w in outs:
+            target = min(candidates)[2]
+            for w in board.undirected_neighbors(target):
                 if budget == 0:
                     break
                 pair = (min(target, w), max(target, w))
@@ -103,10 +92,6 @@ class BreakerGreedyStar(Strategy):
                 claimed.add(pair)
                 budget -= 1
             excluded.add(target)
-        if not arcs:
-            # All pairs gone from our view but the engine asked: defensive.
-            pairs = board.undirected_pairs()
-            arcs = [pairs[0]]
         return tuple(arcs)
 
 
@@ -122,27 +107,10 @@ class MakerGreedyAttack(Strategy):
     def __init__(self, targets):
         self.targets = sorted(targets)
 
-    def start(self, config, rng):
-        super().start(config, rng)
-        n = config.n
-        self.in_deg = [0] * n
-        self.free_at = [set(range(n)) - {v} for v in range(n)]
-
-    def observe(self, board, role, move):
-        for (u, v) in move:
-            self.in_deg[v] += 1
-            self.free_at[u].discard(v)
-            self.free_at[v].discard(u)
-
     def next_move(self, board: Board, transcript):
+        n = board.n
         for v in self.targets:
-            if self.in_deg[v] == 0 and self.free_at[v]:
-                x = min(self.free_at[v])
-                return ((x, v),)
+            if board.in_degree(v) == 0 and board.out_degree(v) < n - 1:
+                return ((board.undirected_neighbors(v)[0], v),)
         # Nothing left to kill: lowest undirected pair, low to high.
-        for v in range(board.n):
-            if self.free_at[v]:
-                w = min(self.free_at[v])
-                return ((min(v, w), max(v, w)),)
-        pairs = board.undirected_pairs()
-        return (pairs[0],)
+        return (board.lowest_undirected(),)

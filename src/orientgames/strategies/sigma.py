@@ -132,6 +132,6 @@ class MakerGreedyEmbedding(Strategy):
                 best_score = score
                 best_move = free
         if best_move is None:
-            pair = board.undirected_pairs()[0]
-            return ((pair[1], pair[0]),)
+            u, v = board.lowest_undirected()
+            return ((v, u),)
         return (best_move,)

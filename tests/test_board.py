@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs, new_board, pair_count, pair_index
 from orientgames.errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
@@ -168,3 +170,44 @@ def test_induced_subboard(rng):
         for v in (1, 4, 6):
             if u < v:
                 assert b.arc(u, v) == sub.arc(mapping[u], mapping[v])
+
+
+def scan_vertices(b):
+    """Out-degrees, in-degrees and undirected neighbours, through arc()."""
+    def where(v, a):
+        return [w for w in range(b.n) if w != v and b.arc(v, w) == a]
+
+    return ([len(where(v, 1)) for v in range(b.n)],
+            [len(where(v, -1)) for v in range(b.n)],
+            [where(v, 0) for v in range(b.n)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_board_counters_match_scans(data):
+    b = Board(data.draw(st.integers(1, 7)))
+    kept = None  # the source of the last copy, which must not share counters
+    for _ in range(data.draw(st.integers(0, 40))):
+        op = data.draw(st.sampled_from(
+            ["orient", "undo", "copy", "relabeled", "induced", "from_text"]))
+        if op == "orient" and b.undirected_count:
+            u, v = data.draw(st.sampled_from(b.undirected_pairs()))
+            b.orient(*data.draw(st.sampled_from([(u, v), (v, u)])))
+        elif op == "undo" and b.undirected_count < pair_count(b.n):
+            u, v = data.draw(st.sampled_from(list(b.arcs())))
+            # Either argument order: the direction comes from the stored state.
+            b._undo_orient(*data.draw(st.sampled_from([(u, v), (v, u)])))
+        elif op == "copy":
+            kept, b = b, b.copy()
+        elif op == "relabeled":
+            b = b.relabeled(data.draw(st.permutations(range(b.n))))
+        elif op == "induced":
+            b = b.induced(data.draw(st.sets(st.integers(0, b.n - 1), min_size=1)))
+        elif op == "from_text":
+            b = Board.from_text(b.to_text())
+        for x in (b, kept):
+            if x is not None:
+                assert ([x.out_degree(v) for v in range(x.n)],
+                        [x.in_degree(v) for v in range(x.n)],
+                        [x.undirected_neighbors(v) for v in range(x.n)]) == scan_vertices(x)
+                assert x.lowest_undirected() == (x.undirected_pairs() or [None])[0]

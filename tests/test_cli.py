@@ -131,6 +131,23 @@ def test_solve_command_and_cache(tmp_path, capsys):
     assert "cached" in capsys.readouterr().out
 
 
+def test_solve_cache_survives_failed_write(tmp_path, monkeypatch, capsys):
+    cache = tmp_path / "cache.json"
+    assert run(["solve", "--n", "3", "--p", "1", "--q", "1", "--property", "cycle",
+                "--cache", str(cache)]) == 0
+    before = read(cache)
+
+    def crash(doc, fh, **kwargs):
+        fh.write('{"schema": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", crash)
+    assert run(["solve", "--n", "4", "--p", "1", "--q", "2", "--property", "cycle",
+                "--cache", str(cache)]) == 2
+    assert read(cache) == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
 def test_solve_budget_exit_code():
     assert run(["solve", "--n", "9", "--property", "cycle"]) == 3
 

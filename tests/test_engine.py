@@ -176,6 +176,32 @@ def test_forfeit_recorded_distinctly():
     assert rec.forfeit_reason
 
 
+class FixedMoveStrategy(Strategy):
+    def __init__(self, role, move):
+        self.role = role
+        self.move = move
+
+    def next_move(self, board, transcript):
+        return self.move
+
+
+@pytest.mark.parametrize("move", [((0.5, 1),), ((True, 2),)])
+def test_non_int_vertex_forfeits(move):
+    cfg = GameConfig(n=3, prop=Cycle(), seed=0)
+    rec = play_game(cfg, FixedMoveStrategy(MAKER, move), FirstPairStrategy(BREAKER))
+    assert (rec.forfeit, rec.winner, rec.transcript) == (MAKER, BREAKER, [])
+    assert "non-integer" in rec.forfeit_reason
+    assert GameRecord.from_json(rec.to_json()).forfeit == MAKER
+
+
+@pytest.mark.parametrize("move", [((0.5, 1),), ((True, 2),)])
+def test_replay_rejects_non_int_vertex(move):
+    cfg = GameConfig(n=3, prop=Cycle(), seed=0)
+    rec = GameRecord(config=cfg, transcript=[(MAKER, move)], winner=BREAKER, rounds=1)
+    with pytest.raises(CorruptTranscript):
+        replay(rec)
+
+
 def test_round_count_lower_bound(rng):
     for p, q in [(1, 1), (1, 3), (2, 2)]:
         cfg = GameConfig(n=6, p=p, q=q, prop=Cycle(), seed=rng.randrange(1 << 20),

@@ -534,11 +534,10 @@ def test_maker_cycle_guaranteed_range_large_board():
 
 
 def test_stage2_config_formulas():
-    from orientgames.strategies.hamilton import default_expansion_size, free_degree_floor
+    from orientgames.strategies.hamilton import default_expansion_size
 
     n = 400
     assert default_expansion_size(n) == math.ceil(n / math.log(n) ** 0.4)
-    assert abs(free_degree_floor(n) - 15 / math.log(n) ** 0.25) < 1e-12
     cfg = GameConfig(n=40, p=1, q=4, prop=Cycle(), seed=0)
     from orientgames.strategies import MakerHamilton
 
