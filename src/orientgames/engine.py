@@ -214,7 +214,7 @@ def validate_move(board: Board, move, bias: int):
         return f"{len(move)} arcs exceeds allowance {limit}"
     seen = set()
     for arc in move:
-        if len(arc) != 2:
+        if not isinstance(arc, (tuple, list)) or len(arc) != 2:
             return f"malformed arc {arc!r}"
         u, v = arc
         # Exactly int: a bool would pass as one but be recorded as "True>2".

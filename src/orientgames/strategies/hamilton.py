@@ -149,36 +149,36 @@ class DangerLedger:
         # Per bipartite vertex: lazily pruned candidate partners.
         self.free1 = [list(range(n)) for _ in range(n)]
         self.free2 = [list(range(n)) for _ in range(n)]
-        self.starved: set[int] = set()
+        self.starved = np.zeros(2 * n, dtype=bool)  # no free incident edge left
         self.min_free_seen = n
 
     def danger(self, v: int) -> int:
         return int(self.deg_b[v] - 2 * self.bias * self.deg_m[v])
 
-    def pool(self, v: int) -> int:
-        """Exact count of free incident edges (statuses partition the n)."""
-        return self.n - int(self.deg_m[v]) - int(self.deg_b[v])
+    def pick_vertex(self) -> int | None:
+        """The bipartite vertex to ease next, or None once none is dangerous.
 
-    def critical(self, v: int) -> bool:
-        """About to run out of free edges before reaching the target.
-
-        One opposing turn eats up to `bias` incident edges, so a dangerous
-        vertex whose pool is within bias per still-needed claim must be
-        eased now; the plain danger ranking is free to prefer a fresher
-        vertex right up until this one is unsavable.
+        A vertex is dangerous while below target and not starved.  It is
+        critical when about to run out of free edges before reaching the
+        target: one opposing turn eats up to `bias` incident edges, so a
+        dangerous vertex whose pool of free edges is within bias per
+        still-needed claim must be eased now.  Critical vertices go first,
+        earliest deadline first, since the opponent drains one pool at a
+        time: smallest pool, then largest danger, then lowest index.
+        Otherwise the largest danger wins, lowest index on ties.
         """
-        need = self.target - int(self.deg_m[v])
-        return self.pool(v) <= self.bias * (need + 1)
-
-    def dangerous_vertices(self):
-        return [
-            v
-            for v in range(2 * self.n)
-            if self.deg_m[v] < self.target and v not in self.starved
-        ]
-
-    def stage_done(self) -> bool:
-        return not self.dangerous_vertices()
+        deg_m, deg_b = self.deg_m, self.deg_b
+        dangerous = (deg_m < self.target) & ~self.starved
+        if not dangerous.any():
+            return None
+        danger = deg_b - 2 * self.bias * deg_m
+        pool = self.n - deg_m - deg_b  # statuses partition the n edges
+        critical = dangerous & (pool <= self.bias * (self.target - deg_m + 1))
+        if critical.any():
+            idx = np.flatnonzero(critical)
+            # lexsort is stable and idx ascends, so the lowest index wins ties.
+            return int(idx[np.lexsort((-danger[idx], pool[idx]))[0]])
+        return int(np.argmax(np.where(dangerous, danger, np.iinfo(np.int64).min)))
 
     def _mark(self, i: int, j: int, status: int):
         assert self.estat[i, j] == E_FREE
@@ -302,18 +302,19 @@ class TemplateCutEngine:
         rng = np.random.default_rng([k, budget] + _seed_words(seed))
         if 2 * k > n:
             budget = 0
-        self.a_mem = np.zeros((budget, n), dtype=bool)
-        self.b_mem = np.zeros((budget, n), dtype=bool)
+        # Membership by vertex: row u says which sampled cuts have u in A
+        # (a_mem) or in B (b_mem), so one arc's update reads two rows.
+        self.a_mem = np.zeros((n, budget), dtype=bool)
+        self.b_mem = np.zeros((n, budget), dtype=bool)
         for s in range(budget):
             perm = rng.permutation(n)
-            self.a_mem[s, perm[:k]] = True
-            self.b_mem[s, perm[k : 2 * k]] = True
+            self.a_mem[perm[:k], s] = True
+            self.b_mem[perm[k : 2 * k], s] = True
+        a = self.a_mem.astype(np.float32)
         open_slots = (self.tstar & self.und).astype(np.float32)
-        self.rem = np.rint(
-            ((self.a_mem.astype(np.float32) @ open_slots) * self.b_mem).sum(axis=1)
-        ).astype(np.int64)
+        self.rem = np.rint(((open_slots.T @ a) * self.b_mem).sum(axis=0)).astype(np.int64)
         closed = (self.tstar & fwd).astype(np.float32)
-        hits = ((self.a_mem.astype(np.float32) @ closed) * self.b_mem).sum(axis=1)
+        hits = ((closed.T @ a) * self.b_mem).sum(axis=0)
         self.alive = hits < 0.5
 
     # -- updates ---------------------------------------------------------------
@@ -331,10 +332,10 @@ class TemplateCutEngine:
         if len(self.alive) == 0:
             return
         if self.tstar[u, v]:
-            mask = self.a_mem[:, u] & self.b_mem[:, v]
+            mask = self.a_mem[u] & self.b_mem[v]
             self.alive &= ~mask
         else:
-            mask = self.a_mem[:, v] & self.b_mem[:, u] & self.alive
+            mask = self.a_mem[v] & self.b_mem[u] & self.alive
             self.rem[mask] -= 1
 
     # -- move choice ---------------------------------------------------------------
@@ -360,7 +361,7 @@ class TemplateCutEngine:
         seen = set()
         for s in order[:3]:
             block = np.argwhere(
-                np.outer(self.a_mem[s], self.b_mem[s]) & self.tstar & self.und
+                np.outer(self.a_mem[:, s], self.b_mem[:, s]) & self.tstar & self.und
             )
             for (u, v) in block:
                 p = (int(u), int(v))
@@ -375,11 +376,24 @@ class TemplateCutEngine:
         weights = np.exp2(-self.rem / self.threat_bias)
         best, best_score = None, -1.0
         for (u, v) in cands:
-            mask = self.a_mem[:, u] & self.b_mem[:, v] & self.alive
+            mask = self.a_mem[u] & self.b_mem[v] & self.alive
             score = float(weights[mask].sum())
             if score > best_score + 1e-15:
                 best, best_score = (u, v), score
         return best
+
+    def agreeing_move(self, board: Board):
+        """The chosen arc as a move, else the lowest open pair oriented the
+        way T* agrees: with no live sampled cut naming an arc, any agreeing
+        pair will do."""
+        choice = self.choose()
+        if choice is not None and board.is_undirected(*choice):
+            return (choice,)
+        pair = board.lowest_undirected()
+        if pair is None:
+            raise NoAgreeingPair("asked to move on a complete board")
+        u, v = pair
+        return ((u, v),) if self.tstar[u, v] else ((v, u),)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +448,7 @@ class MakerHamilton(Strategy):
         self.stats["stage1_rounds"] = self.stage1_rounds
         self.stats["stage1_overran"] = self.stage1_overran
         self.stats["min_free_seen"] = self.ledger.min_free_seen
-        self.stats["starved"] = sorted(self.ledger.starved)
+        self.stats["starved"] = np.flatnonzero(self.ledger.starved).tolist()
         n = board.n
         self.stats["handoff_min_in"] = min(board.in_degree(v) for v in range(n))
         self.stats["handoff_min_out"] = min(board.out_degree(v) for v in range(n))
@@ -459,26 +473,19 @@ class MakerHamilton(Strategy):
                     return self._stage1_move(board)
                 except StageComplete:
                     self._enter_stage2(board)
-        return self._stage2_move(board)
+        return self.cut_engine.agreeing_move(board)
 
     def _stage1_move(self, board: Board):
         ledger = self.ledger
         self.stage1_rounds += 1
         for _ in range(board.n):
-            dangerous = ledger.dangerous_vertices()
-            if not dangerous:
+            v = ledger.pick_vertex()
+            if v is None:
                 self.stage1_rounds -= 1
                 raise StageComplete("all bipartite degrees at target")
-            critical = [w for w in dangerous if ledger.critical(w)]
-            if critical:
-                # Earliest deadline first: the opponent drains one pool at
-                # a time, so the smallest pool is the one about to die.
-                v = min(critical, key=lambda w: (ledger.pool(w), -ledger.danger(w), w))
-            else:
-                v = max(dangerous, key=lambda w: (ledger.danger(w), -w))
             edge = ledger.sample_free_edge(v, self.rng)
             if edge is None:
-                ledger.starved.add(v)
+                ledger.starved[v] = True
                 continue
             i, j = edge
             if ledger.maker_claim(i, j) == "real":
@@ -494,16 +501,6 @@ class MakerHamilton(Strategy):
                 ledger.maker_claim(v, u)
                 return ((v, u),)
         raise NoAgreeingPair("no undirected pair left for stage 1 fallback")
-
-    def _stage2_move(self, board: Board):
-        if board.undirected_count == 0:
-            raise NoAgreeingPair("asked to move on a complete board")
-        choice = self.cut_engine.choose() if self.cut_engine is not None else None
-        if choice is not None and board.is_undirected(*choice):
-            return (choice,)
-        # No live sampled cut names an arc: any agreeing pair will do.
-        u, v = board.lowest_undirected()
-        return ((u, v),) if self.cfg.tstar[u, v] else ((v, u),)
 
 
 class MakerNonKColorable(Strategy):
@@ -538,10 +535,8 @@ class MakerNonKColorable(Strategy):
         if exact is None:
             exact = math.comb(n, m) * math.comb(n - m, m) <= 100_000
         tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=m)
-        self.tstar = tstar
-        board = Board(n)
         self.cut_engine = TemplateCutEngine(
-            board, tstar, m, threat_bias=config.q,
+            Board(n), tstar, m, threat_bias=config.q,
             sample_budget=self.sample_budget, exact=exact, seed=config.seed,
         )
 
@@ -550,11 +545,4 @@ class MakerNonKColorable(Strategy):
             self.cut_engine.observe_arc(u, v)
 
     def next_move(self, board: Board, transcript):
-        choice = self.cut_engine.choose()
-        if choice is not None and board.is_undirected(*choice):
-            return (choice,)
-        pair = board.lowest_undirected()
-        if pair is None:
-            raise NoAgreeingPair("asked to move on a complete board")
-        u, v = pair
-        return ((u, v),) if self.tstar[u, v] else ((v, u),)
+        return self.cut_engine.agreeing_move(board)

@@ -12,8 +12,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from orientgames.board import Board, all_pairs
+
+# Property tests draw the same examples on every run, so a Tier-1 result
+# never depends on which examples a run happened to try; no deadline,
+# because a loaded machine can stall a single example past any limit.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def all_tournaments(n):

@@ -194,6 +194,14 @@ def test_non_int_vertex_forfeits(move):
     assert GameRecord.from_json(rec.to_json()).forfeit == MAKER
 
 
+@pytest.mark.parametrize("move", [(5,), (None,), ("01",)])
+def test_malformed_arc_forfeits(move):
+    cfg = GameConfig(n=3, prop=Cycle(), seed=0)
+    rec = play_game(cfg, FixedMoveStrategy(MAKER, move), FirstPairStrategy(BREAKER))
+    assert (rec.forfeit, rec.winner, rec.transcript) == (MAKER, BREAKER, [])
+    assert "malformed arc" in rec.forfeit_reason
+
+
 @pytest.mark.parametrize("move", [((0.5, 1),), ((True, 2),)])
 def test_replay_rejects_non_int_vertex(move):
     cfg = GameConfig(n=3, prop=Cycle(), seed=0)

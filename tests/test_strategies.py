@@ -1,8 +1,12 @@
 import copy
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.board import Board
 from orientgames.engine import (
@@ -12,6 +16,7 @@ from orientgames.engine import (
     Cycle,
     CycleLengthK,
     GameConfig,
+    Hamiltonicity,
     MinInDegreePositive,
     NonKColorable,
     play_game,
@@ -31,6 +36,7 @@ from orientgames.oracles import (
 )
 from orientgames.strategies import (
     BreakerBoxHamilton,
+    BreakerGreedyStar,
     BreakerOutStar,
     BreakerSigmaPotential,
     HypergraphState,
@@ -38,6 +44,7 @@ from orientgames.strategies import (
     MakerCycle,
     MakerGreedyAttack,
     MakerGreedyEmbedding,
+    MakerHamilton,
     MakerNonKColorable,
     RandomStrategy,
     TemplateCutEngine,
@@ -45,7 +52,7 @@ from orientgames.strategies import (
     generate_template,
     potential_blocker_move,
 )
-from orientgames.strategies.hamilton import DangerLedger
+from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
 from orientgames.strategies.sigma import sigma_reduction_count
 
 # Lexicographically first strongly connected 5-vertex tournament with
@@ -311,6 +318,57 @@ def test_real_claim_reduces_both_sides():
     assert led.deg_b[4] == 1 and led.deg_b[5 + 1] == 1
 
 
+def _scalar_pick(led):
+    """Stage 1's vertex rule one vertex at a time, with the degrees
+    recounted from the edge statuses."""
+    n, bias, target = led.n, led.bias, led.target
+
+    def degrees(status):
+        first = [int((led.estat[i, :] == status).sum()) for i in range(n)]
+        second = [int((led.estat[:, j] == status).sum()) for j in range(n)]
+        return first + second
+
+    deg_m, deg_b = degrees(E_MAKER), degrees(E_BREAKER)
+    dangerous = [v for v in range(2 * n) if deg_m[v] < target and not led.starved[v]]
+    if not dangerous:
+        return None
+
+    def pool(w):
+        return n - deg_m[w] - deg_b[w]
+
+    def danger(w):
+        return deg_b[w] - 2 * bias * deg_m[w]
+
+    critical = [w for w in dangerous if pool(w) <= bias * (target - deg_m[w] + 1)]
+    if critical:
+        return min(critical, key=lambda w: (pool(w), -danger(w), w))
+    return max(dangerous, key=lambda w: (danger(w), -w))
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_pick_vertex_matches_scalar_rule(data):
+    # Bias up to 3n reaches the critical branch; bias 1 or 2 with a low
+    # target reaches the plain one, whose dangers tie at 0 before any step;
+    # starving or filling every vertex gives None.
+    n = data.draw(st.integers(1, 8), label="n")
+    bias = data.draw(st.one_of(st.integers(1, 2), st.integers(1, 3 * n)), label="bias")
+    target = data.draw(st.one_of(st.none(), st.integers(1, n)), label="target")
+    led = DangerLedger(n, bias, target=target)
+    steps = data.draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                         st.integers(0, n - 1)), max_size=3 * n * n),
+                      label="steps")
+    for maker, i, j in steps:
+        if maker:
+            if led.estat[i, j] == E_FREE:
+                led.maker_claim(i, j)
+        elif i != j:
+            led.breaker_oriented(i, j)
+    starved = data.draw(st.sets(st.integers(0, 2 * n - 1)), label="starved")
+    led.starved[list(starved)] = True
+    assert led.pick_vertex() == _scalar_pick(led)
+
+
 # ---------------------------------------------------------------------------
 # stage 2 exact potential agreement (n = 12)
 # ---------------------------------------------------------------------------
@@ -400,7 +458,7 @@ def test_nonkcolorable_moves_agree_with_template():
     cfg = GameConfig(n=12, p=1, q=1, prop=NonKColorable(2), seed=1, early_stop=False)
     maker = MakerNonKColorable(2)
     rec = play_game(cfg, maker, RandomStrategy(BREAKER))
-    tstar = maker.tstar
+    tstar = maker.cut_engine.tstar
     for role, move in rec.transcript:
         if role == MAKER:
             for (u, v) in move:
@@ -567,3 +625,60 @@ def test_breaker_box_threshold_gate_at_n200():
         BreakerBoxHamilton().start(cfg_low, strategy_rng(cfg_low, BREAKER))
     cfg_ok = GameConfig(n=200, p=1, q=t, prop=MinInDegreePositive(), seed=0)
     BreakerBoxHamilton().start(cfg_ok, strategy_rng(cfg_ok, BREAKER))
+
+
+# ---------------------------------------------------------------------------
+# seeded records, pinned
+# ---------------------------------------------------------------------------
+
+
+def _records_hash(make_maker, n, q, prop, make_breaker, seeds=range(5)):
+    """sha256 over every seed's round digests, verdict and Maker stats."""
+    docs = []
+    for seed in seeds:
+        cfg = GameConfig(n=n, p=1, q=q, prop=prop, seed=seed, early_stop=False,
+                         keep_digests=True)
+        maker = make_maker()
+        rec = play_game(cfg, maker, make_breaker())
+        docs.append({
+            "digests": rec.digests,
+            "winner": rec.winner,
+            "rounds": rec.rounds,
+            "forced_round": rec.forced_round,
+            "forfeit": rec.forfeit,
+            "stats": getattr(maker, "stats", None),
+        })
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()[:16]
+
+
+# Captured before the stage-1 pick and the stage-2 cut memberships were
+# vectorised; any change here is a change to seeded play.  q=8 at n=40 and
+# q=11 at n=60 are criterion 9's floor(0.8 n / ln n): stage 1 runs mostly
+# on critical vertices and rarely hands off.  At q=3 stage 1 hands off on
+# plain danger ranking, and k=8 makes stage 2 sample 4096 cuts (the
+# default k leaves no two disjoint k-sets at n=60).  MakerNonKColorable
+# tracks cuts exactly at n=12 and samples them at n=15.
+PINNED_RECORDS = [
+    ("hamilton", 40, 8, "random", "c3b567329edf977c"),
+    ("hamilton", 40, 8, "greedy-star", "c3d917a00362c076"),
+    ("hamilton", 60, 11, "random", "d22f223df4c2f675"),
+    ("hamilton", 60, 11, "greedy-star", "2b522526747f01a8"),
+    ("hamilton-k8", 60, 3, "random", "ed081b40da3e4a8c"),
+    ("hamilton-k8", 60, 3, "greedy-star", "2461c0ca6f55f1f6"),
+    ("nonkcol", 12, 1, "random", "a35ac3bdc38c9957"),
+    ("nonkcol", 15, 1, "random", "a59f35f5c0eea8ff"),
+]
+
+
+@pytest.mark.parametrize("maker,n,q,breaker,expected", PINNED_RECORDS)
+def test_seeded_records_pinned(maker, n, q, breaker, expected):
+    make_breaker = {
+        "random": lambda: RandomStrategy(BREAKER),
+        "greedy-star": BreakerGreedyStar,
+    }[breaker]
+    if maker == "nonkcol":
+        make_maker, prop = (lambda: MakerNonKColorable(2)), NonKColorable(2)
+    else:
+        k = 8 if maker == "hamilton-k8" else None
+        make_maker, prop = (lambda: MakerHamilton(k=k)), Hamiltonicity()
+    assert _records_hash(make_maker, n, q, prop, make_breaker) == expected
