@@ -9,8 +9,10 @@ Pairs are stored in a flat triangular bytearray indexed by (u, v) with
 u < v, one state byte per pair (0 undirected, 1 low-to-high, 2
 high-to-low).  The raw bytes double as the canonical board encoding used
 for solver memoization: a base-3 digit string in pair-index order, which is
-injective and cheap to hash.  Per-vertex out- and in-degree counts are kept
-beside the bytes, updated on every orientation, so degree queries are O(1).
+injective and cheap to hash.  Per-vertex out- and in-degree counts and
+out-neighbour bitmasks are kept beside the bytes, updated on every
+orientation, so degree queries are O(1) and graph searches can walk a
+vertex's out-neighbours with bit operations.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def all_pairs(n: int):
 class Board:
     """A partial orientation of K_n on vertices 0..n-1."""
 
-    __slots__ = ("n", "_st", "undirected_count", "_out", "_in")
+    __slots__ = ("n", "_st", "undirected_count", "_out", "_in", "_outm")
 
     def __init__(self, n: int):
         if n < 1:
@@ -53,6 +55,7 @@ class Board:
         self.undirected_count = pair_count(n)
         self._out = [0] * n
         self._in = [0] * n
+        self._outm = [0] * n  # bit w of _outm[v] is set iff v->w
 
     # -- basic queries -------------------------------------------------
 
@@ -88,6 +91,7 @@ class Board:
         self.undirected_count -= 1
         self._out[u] += 1
         self._in[v] += 1
+        self._outm[u] |= 1 << v
 
     def _undo_orient(self, u: int, v: int) -> None:
         # Solver-internal: make the pair {u, v} undirected again.  The arc's
@@ -101,6 +105,7 @@ class Board:
         self.undirected_count += 1
         self._out[tail] -= 1
         self._in[head] -= 1
+        self._outm[tail] &= ~(1 << head)
 
     def is_tournament(self) -> bool:
         return self.undirected_count == 0
@@ -170,6 +175,10 @@ class Board:
     def in_degree(self, v: int) -> int:
         return self._in[v]
 
+    def out_mask(self, v: int) -> int:
+        """Out-neighbours of v as a bitmask: bit w is set iff v->w."""
+        return self._outm[v]
+
     def out_set(self, vertices) -> set[int]:
         """N+(A): vertices outside A receiving an arc from A."""
         a = set(vertices)
@@ -197,6 +206,7 @@ class Board:
         b.undirected_count = self.undirected_count
         b._out = self._out[:]
         b._in = self._in[:]
+        b._outm = self._outm[:]
         return b
 
     def canonical_key(self) -> bytes:

@@ -9,6 +9,7 @@ verdict is forced, and produces a replayable record.
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 from dataclasses import dataclass, field
@@ -204,9 +205,12 @@ Move = tuple  # tuple of (u, v) arc declarations
 def validate_move(board: Board, move, bias: int):
     """Reason the move is illegal on this board, or None if it is fine.
 
-    At least one arc, at most bias (or all remaining pairs if fewer), no
-    pair repeated, and every pair undirected when its turn comes.
+    A tuple or list of at least one arc, at most bias (or all remaining
+    pairs if fewer), no pair repeated, and every pair undirected when its
+    turn comes.
     """
+    if not isinstance(move, (tuple, list)):
+        return f"malformed move {move!r}"
     if not move:
         return "empty move"
     limit = min(bias, board.undirected_count)
@@ -334,6 +338,30 @@ class Strategy:
         """Hashable digest of private state, for the exhaustive verifier."""
         return None
 
+    def __deepcopy__(self, memo):
+        """Independent copy for exhaustive search, made cheaply.
+
+        The frozen config is shared, and the generator is cloned through
+        its state rather than its internals; every other attribute is
+        deep-copied with the same memo, so an alias of ``rng`` stays an
+        alias of the clone.
+        """
+        cls = type(self)
+        clone = cls.__new__(cls)
+        memo[id(self)] = clone
+        attrs = self.__dict__
+        config = attrs.get("config")
+        if config is not None:
+            memo[id(config)] = config
+        rng = attrs.get("rng")
+        if rng is not None and id(rng) not in memo:
+            twin = type(rng).__new__(type(rng))
+            twin.setstate(rng.getstate())
+            memo[id(rng)] = twin
+        for name, value in attrs.items():
+            setattr(clone, name, copy.deepcopy(value, memo))
+        return clone
+
 
 def strategy_rng(config: GameConfig, role: str) -> random.Random:
     # String seeding is stable across processes (no hash randomization).
@@ -371,13 +399,14 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
 
     def half_turn(strategy: Strategy, bias: int):
         nonlocal winner, forced_round, forfeit, forfeit_reason
-        move = tuple(strategy.next_move(board, transcript))
+        move = strategy.next_move(board, transcript)
         reason = validate_move(board, move, bias)
         if reason is not None:
             forfeit = strategy.role
             forfeit_reason = reason
             winner = other(strategy.role)
             return False
+        move = tuple(move)
         apply_move(board, move)
         transcript.append((strategy.role, move))
         maker.observe(board, strategy.role, move)

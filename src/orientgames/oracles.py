@@ -95,52 +95,46 @@ def sigma_check(t: int, sigma) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(board: Board) -> list[list[int]]:
-    n = board.n
-    adj = [[] for _ in range(n)]
-    for (u, v) in board.arcs():
-        adj[u].append(v)
-    return adj
-
-
 def find_cycle(board: Board):
     """Some directed cycle as a vertex list, or None if the graph is acyclic.
 
+    Depth-first search over the out-neighbour masks, lowest vertex first.
     On a complete tournament the returned cycle is shortened to length 3
     (a tournament with any cycle has a directed triangle).
     """
     n = board.n
-    adj = _adjacency(board)
-    color = [0] * n  # 0 white, 1 on stack, 2 done
+    masks = [board.out_mask(v) for v in range(n)]
+    seen = 0  # bitmask of vertices entered: on the stack or done
+    done = 0  # bitmask of vertices whose search has finished
     parent = [-1] * n
     for root in range(n):
-        if color[root]:
+        if seen >> root & 1:
             continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = 1
+        seen |= 1 << root
+        stack = [(root, masks[root])]
         while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if color[w] == 1:
-                    cyc = [v]
-                    x = v
-                    while x != w:
-                        x = parent[x]
-                        cyc.append(x)
-                    cyc.reverse()
-                    if board.is_tournament():
-                        cyc = _shorten_in_tournament(board, cyc)
-                    return cyc
-            if not advanced:
-                color[v] = 2
+            v, m = stack[-1]
+            m &= ~done
+            if not m:
+                done |= 1 << v
                 stack.pop()
+                continue
+            bit = m & -m
+            w = bit.bit_length() - 1
+            stack[-1] = (v, m ^ bit)
+            if seen & bit:  # w is on the stack: v->w closes a cycle
+                cyc = [v]
+                x = v
+                while x != w:
+                    x = parent[x]
+                    cyc.append(x)
+                cyc.reverse()
+                if board.is_tournament():
+                    cyc = _shorten_in_tournament(board, cyc)
+                return cyc
+            seen |= bit
+            parent[w] = v
+            stack.append((w, masks[w]))
     return None
 
 
@@ -164,37 +158,49 @@ def is_directed_cycle(board: Board, cycle) -> bool:
 
 
 def scc_sizes(board: Board) -> list[int]:
-    """Sizes of the strongly connected components (iterative Tarjan)."""
+    """Sizes of the strongly connected components (iterative Tarjan).
+
+    Out-neighbours are walked lowest vertex first.
+    """
     n = board.n
-    adj = _adjacency(board)
+    masks = [board.out_mask(v) for v in range(n)]
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    entered = 0  # bitmask of vertices with an index
+    on_stack = 0  # bitmask of vertices on comp_stack
     comp_stack: list[int] = []
     sizes = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, masks[root])]
+        index[root] = low[root] = counter
+        counter += 1
+        comp_stack.append(root)
+        entered |= 1 << root
+        on_stack |= 1 << root
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                comp_stack.append(v)
-                on_stack[v] = True
+            v, m = work[-1]
+            # Entered vertices off the stack are in finished components.
+            m &= ~entered | on_stack
             advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
+            while m:
+                bit = m & -m
+                m ^= bit
+                w = bit.bit_length() - 1
+                if not entered & bit:
+                    work[-1] = (v, m)
+                    work.append((w, masks[w]))
+                    index[w] = low[w] = counter
+                    counter += 1
+                    comp_stack.append(w)
+                    entered |= bit
+                    on_stack |= bit
                     advanced = True
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
+                if index[w] < low[v]:
+                    low[v] = index[w]
             if advanced:
                 continue
             work.pop()
@@ -202,7 +208,7 @@ def scc_sizes(board: Board) -> list[int]:
                 size = 0
                 while True:
                     w = comp_stack.pop()
-                    on_stack[w] = False
+                    on_stack &= ~(1 << w)
                     size += 1
                     if w == v:
                         break
@@ -352,7 +358,7 @@ def longest_path_exact(board: Board) -> list[int]:
     n = board.n
     if n > LONGEST_PATH_MAX:
         raise BudgetExceeded(f"longest_path_exact capped at n={LONGEST_PATH_MAX}")
-    adj = _adjacency(board)
+    masks = [board.out_mask(v) for v in range(n)]
     best: list[int] = []
 
     def extend(v, visited, path):
@@ -361,13 +367,16 @@ def longest_path_exact(board: Board) -> list[int]:
             best = list(path)
         if len(path) + (n - len(path)) <= len(best):
             return
-        for w in adj[v]:
-            if not (visited >> w) & 1:
-                path.append(w)
-                extend(w, visited | (1 << w), path)
-                path.pop()
+        m = masks[v] & ~visited
+        while m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            path.append(w)
+            extend(w, visited | bit, path)
+            path.pop()
 
-    order = sorted(range(n), key=lambda v: -len(adj[v]))
+    order = sorted(range(n), key=lambda v: -board.out_degree(v))
     for v in order:
         if len(best) == n:
             break

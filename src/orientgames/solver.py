@@ -249,10 +249,11 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         key = (board.canonical_key(), strat.state_key(), last_move)
         if key in verified:
             return None
-        move = tuple(strat.next_move(board, transcript))
+        move = strat.next_move(board, transcript)
         reason = validate_move(board, move, own_bias)
         if reason is not None:
             return transcript + [(role, move)]
+        move = tuple(move)
         b2 = board.copy()
         apply_move(b2, move)
         strat.observe(b2, role, move)

@@ -44,10 +44,11 @@ class BreakerBoxHamilton(Strategy):
 
     def _sync_claims(self, board: Board):
         # Items claimed by arcs v->w regardless of who oriented them.
+        side_b = (1 << board.n) - (1 << self.b)  # bits b..n-1
         for v in self.side_a:
             if self.boxes.destroyed[v]:
                 continue
-            have = sum(1 for w in self.side_b if board.arc(v, w) == 1)
+            have = (board.out_mask(v) & side_b).bit_count()
             while self.boxes.claimed_real[v] < have:
                 self.boxes.claim(v)
 

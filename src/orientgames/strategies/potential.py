@@ -57,6 +57,21 @@ class HypergraphState:
         self.dead = [False] * len(self.sets)
         self.threat_completed = False
 
+    def __deepcopy__(self, memo):
+        """Independent claim state over the same set family.
+
+        ``sets``, ``elements`` and ``member_of`` are never mutated after
+        construction, so the copy shares them; ``status``, ``remaining``
+        and ``dead`` are copied.
+        """
+        clone = type(self).__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        clone.status = dict(self.status)
+        clone.remaining = self.remaining[:]
+        clone.dead = self.dead[:]
+        memo[id(self)] = clone
+        return clone
+
     # -- claims ------------------------------------------------------------
 
     def claim_threat(self, e) -> None:

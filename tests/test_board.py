@@ -173,13 +173,15 @@ def test_induced_subboard(rng):
 
 
 def scan_vertices(b):
-    """Out-degrees, in-degrees and undirected neighbours, through arc()."""
+    """Out-degrees, in-degrees, undirected neighbours and out-neighbour
+    masks, through arc()."""
     def where(v, a):
         return [w for w in range(b.n) if w != v and b.arc(v, w) == a]
 
     return ([len(where(v, 1)) for v in range(b.n)],
             [len(where(v, -1)) for v in range(b.n)],
-            [where(v, 0) for v in range(b.n)])
+            [where(v, 0) for v in range(b.n)],
+            [sum(1 << w for w in where(v, 1)) for v in range(b.n)])
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,5 +211,6 @@ def test_board_counters_match_scans(data):
             if x is not None:
                 assert ([x.out_degree(v) for v in range(x.n)],
                         [x.in_degree(v) for v in range(x.n)],
-                        [x.undirected_neighbors(v) for v in range(x.n)]) == scan_vertices(x)
+                        [x.undirected_neighbors(v) for v in range(x.n)],
+                        [x.out_mask(v) for v in range(x.n)]) == scan_vertices(x)
                 assert x.lowest_undirected() == (x.undirected_pairs() or [None])[0]

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from orientgames.engine import (
     play_game,
     property_from_key,
     replay,
+    strategy_rng,
     validate_move,
 )
 from orientgames.errors import CorruptTranscript, NotATournament
@@ -202,6 +204,14 @@ def test_malformed_arc_forfeits(move):
     assert "malformed arc" in rec.forfeit_reason
 
 
+@pytest.mark.parametrize("move", [None, 5])
+def test_non_sequence_move_forfeits(move):
+    cfg = GameConfig(n=3, prop=Cycle(), seed=0)
+    rec = play_game(cfg, FixedMoveStrategy(MAKER, move), FirstPairStrategy(BREAKER))
+    assert (rec.forfeit, rec.winner, rec.transcript) == (MAKER, BREAKER, [])
+    assert "malformed move" in rec.forfeit_reason
+
+
 @pytest.mark.parametrize("move", [((0.5, 1),), ((True, 2),)])
 def test_replay_rejects_non_int_vertex(move):
     cfg = GameConfig(n=3, prop=Cycle(), seed=0)
@@ -347,3 +357,44 @@ def test_one_vertex_games_judge_immediately():
     rec2 = play_game(cfg2, FirstPairStrategy(MAKER), FirstPairStrategy(BREAKER))
     assert rec2.winner == BREAKER
     assert forced_verdict(Board(1), Hamiltonicity()) is True
+
+
+# ---------------------------------------------------------------------------
+# Strategy copies (the exhaustive verifier deep-copies per opponent branch)
+# ---------------------------------------------------------------------------
+
+
+def started(strategy, seed=5):
+    cfg = GameConfig(n=5, prop=Cycle(), seed=seed)
+    strategy.start(cfg, strategy_rng(cfg, strategy.role))
+    return strategy
+
+
+def test_strategy_deepcopy_shares_config_and_clones_rng():
+    s = started(RandomStrategy(MAKER))
+    s.rng.random()  # a generator part-way through its stream
+    c = copy.deepcopy(s)
+    assert type(c) is RandomStrategy
+    assert c.config is s.config
+    assert c.rng is not s.rng
+    assert c.rng.getstate() == s.rng.getstate()
+    assert c.free is not s.free and c.free.pairs == s.free.pairs
+    state = s.rng.getstate()
+    drawn = [c.rng.random() for _ in range(3)]
+    assert s.rng.getstate() == state
+    assert [s.rng.random() for _ in range(3)] == drawn
+
+
+class AliasingStrategy(Strategy):
+    def start(self, config, rng):
+        super().start(config, rng)
+        self.sampler = rng
+        self.pair = [rng, rng]
+
+
+def test_strategy_deepcopy_keeps_rng_aliases():
+    s = started(AliasingStrategy())
+    c = copy.deepcopy(s)
+    assert c.rng is not s.rng
+    assert c.sampler is c.rng
+    assert c.pair[0] is c.rng and c.pair[1] is c.rng

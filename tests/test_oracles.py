@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
 from orientgames.errors import (
@@ -28,6 +30,7 @@ from orientgames.oracles import (
     is_strongly_connected,
     k_colorable,
     longest_path_exact,
+    scc_sizes,
 )
 
 from conftest import (
@@ -243,6 +246,158 @@ def test_longest_path_matches_exhaustive(rng):
 def test_longest_path_budget():
     with pytest.raises(BudgetExceeded):
         longest_path_exact(Board(21))
+
+
+# ---------------------------------------------------------------------------
+# Out-mask walks against adjacency-list walks
+# ---------------------------------------------------------------------------
+# The reference versions below build adjacency lists from board.arcs() and
+# walk them in list order, as the oracles did before they read the board's
+# out-neighbour masks.  Both visit out-neighbours lowest first, so they must
+# return the same cycle, the same size list and the same path.
+
+
+def _ref_adjacency(board):
+    adj = [[] for _ in range(board.n)]
+    for (u, v) in board.arcs():
+        adj[u].append(v)
+    return adj
+
+
+def _ref_find_cycle(board):
+    n = board.n
+    adj = _ref_adjacency(board)
+    color = [0] * n
+    parent = [-1] * n
+    for root in range(n):
+        if color[root]:
+            continue
+        stack = [(root, iter(adj[root]))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for w in it:
+                if color[w] == 0:
+                    color[w] = 1
+                    parent[w] = v
+                    stack.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if color[w] == 1:
+                    cyc = [v]
+                    x = v
+                    while x != w:
+                        x = parent[x]
+                        cyc.append(x)
+                    cyc.reverse()
+                    if board.is_tournament():
+                        while len(cyc) > 3:
+                            if board.arc(cyc[2], cyc[0]) == 1:
+                                return cyc[:3]
+                            cyc = [cyc[0]] + cyc[2:]
+                    return cyc
+            if not advanced:
+                color[v] = 2
+                stack.pop()
+    return None
+
+
+def _ref_scc_sizes(board):
+    n = board.n
+    adj = _ref_adjacency(board)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    comp_stack = []
+    sizes = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                comp_stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while pi < len(adj[v]):
+                w = adj[v][pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                size = 0
+                while True:
+                    w = comp_stack.pop()
+                    on_stack[w] = False
+                    size += 1
+                    if w == v:
+                        break
+                sizes.append(size)
+            if work:
+                pv, _ = work[-1]
+                low[pv] = min(low[pv], low[v])
+    return sizes
+
+
+def _ref_longest_path(board):
+    n = board.n
+    adj = _ref_adjacency(board)
+    best = []
+
+    def extend(v, visited, path):
+        nonlocal best
+        if len(path) > len(best):
+            best = list(path)
+        if len(path) + (n - len(path)) <= len(best):
+            return
+        for w in adj[v]:
+            if not (visited >> w) & 1:
+                path.append(w)
+                extend(w, visited | (1 << w), path)
+                path.pop()
+
+    for v in sorted(range(n), key=lambda v: -len(adj[v])):
+        if len(best) == n:
+            break
+        extend(v, 1 << v, [v])
+    return best
+
+
+@st.composite
+def boards(draw, max_n, tournament):
+    """A board on 1..max_n vertices; every pair oriented if tournament."""
+    n = draw(st.integers(1, max_n))
+    states = st.sampled_from([1, -1] if tournament else [0, 1, -1])
+    b = Board(n)
+    for (u, v) in all_pairs(n):
+        s = draw(states)
+        if s:
+            b.orient(*((u, v) if s == 1 else (v, u)))
+    return b
+
+
+@pytest.mark.parametrize("tournament", [True, False])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_mask_walks_match_adjacency_walks(tournament, data):
+    b = data.draw(boards(12, tournament))
+    assert find_cycle(b) == _ref_find_cycle(b)
+    assert scc_sizes(b) == _ref_scc_sizes(b)
+    small = data.draw(boards(8, tournament))
+    assert longest_path_exact(small) == _ref_longest_path(small)
 
 
 # ---------------------------------------------------------------------------

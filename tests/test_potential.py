@@ -160,3 +160,20 @@ def test_blocker_never_loses_small_sample(rng):
             continue
         tried += 1
         assert blocker_never_loses(sets, n_el)
+
+
+def test_deepcopy_shares_only_the_set_family():
+    state = HypergraphState([{0, 1, 2}, {2, 3}, {3, 4, 5}], 1, 1)
+    state.claim_threat(2)
+    clone = copy.deepcopy(state)
+    shared = {name for name, value in vars(clone).items()
+              if isinstance(value, (list, dict, set)) and value is vars(state)[name]}
+    assert shared == {"sets", "elements", "member_of"}
+    before = (dict(state.status), state.remaining[:], state.dead[:])
+    clone.claim_blocker(3)
+    clone.claim_threat(0)
+    clone.claim_threat(1)
+    assert clone.threat_completed and not state.threat_completed
+    assert (state.status, state.remaining, state.dead) == before
+    state.claim_threat(4)
+    assert clone.status[4] == 0 and clone.remaining[2] == 3

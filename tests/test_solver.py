@@ -12,6 +12,7 @@ from orientgames.engine import (
     Hamiltonicity,
     MinInDegreePositive,
     NonKColorable,
+    Strategy,
     apply_move,
     evaluate_property,
     forced_verdict,
@@ -24,7 +25,7 @@ from orientgames.solver import (
     threshold_scan,
     verify_strategy_vs_all,
 )
-from orientgames.strategies import BreakerOutStar, MakerCycle
+from orientgames.strategies import BreakerOutStar, MakerCycle, RandomStrategy
 
 ALL_N3_PROPS = [
     Cycle(),
@@ -225,3 +226,68 @@ def test_solver_agrees_with_naive_whole_move_minimax():
         solve_orientation_game(4, 1, 1, Hamiltonicity()).winner
         == _naive_minimax(4, 1, 1, Hamiltonicity())
     )
+
+
+class NoneMoveStrategy(Strategy):
+    def next_move(self, board, transcript):
+        return None
+
+
+def test_verifier_reports_non_sequence_move():
+    res = verify_strategy_vs_all(NoneMoveStrategy, MAKER, 4, 1, 1, Cycle())
+    assert (res.ok, res.counterexample, res.nodes) == (False, [(MAKER, None)], 1)
+
+
+# Results captured with adjacency-list oracles and full deep copies of the
+# strategy: cheaper walks and copies must visit the same nodes and return
+# the same lines.
+SOLVE_PINS = [
+    ((4, 1, 1, Cycle()), MAKER, 349, 66,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((3, 0),)),
+      (BREAKER, ((1, 2),)), (MAKER, ((1, 3),))]),
+    ((4, 1, 2, Cycle()), BREAKER, 867, 147,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
+      (BREAKER, ((1, 2),)), (MAKER, ((1, 3),)), (BREAKER, ((2, 3),))]),
+    ((4, 2, 1, Cycle()), MAKER, 344, 60,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
+      (BREAKER, ((1, 2),)), (MAKER, ((3, 1), (2, 3)))]),
+    ((4, 1, 1, Hamiltonicity()), BREAKER, 747, 105,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),))]),
+    ((5, 1, 2, Cycle()), MAKER, 55687, 20326,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((3, 0),)),
+      (BREAKER, ((0, 4),)), (MAKER, ((1, 2),)), (BREAKER, ((1, 3),))]),
+    ((5, 1, 1, CycleLengthK(3)), MAKER, 5792, 1824,
+     [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
+      (BREAKER, ((0, 4),)), (MAKER, ((1, 2),)), (BREAKER, ((1, 3),)),
+      (MAKER, ((4, 1),)), (BREAKER, ((2, 3),)), (MAKER, ((2, 4),))]),
+]
+
+
+@pytest.mark.parametrize("args, winner, nodes, memo_hits, pv", SOLVE_PINS)
+def test_solver_results_pinned(args, winner, nodes, memo_hits, pv):
+    r = solve_orientation_game(*args)
+    assert (r.winner, r.nodes, r.memo_hits, r.pv) == (winner, nodes, memo_hits, pv)
+
+
+VERIFY_PINS = [
+    (MakerCycle, (MAKER, 6, 1, 1, Cycle()), 0, True, 1392, None),
+    (MakerCycle, (MAKER, 4, 1, 2, Cycle()), 0, False, 17,
+     [(MAKER, ((0, 1),)), (BREAKER, ((3, 2),)), (MAKER, ((1, 2),)),
+      (BREAKER, ((0, 2),)), (MAKER, ((1, 3),)), (BREAKER, ((0, 3),))]),
+    (BreakerOutStar, (BREAKER, 5, 1, 3, Cycle()), 0, True, 620, None),
+    # Random strategies: every branch must continue the same generator stream.
+    (lambda: RandomStrategy(MAKER), (MAKER, 5, 3, 2, Cycle()), 1, True, 57, None),
+    (lambda: RandomStrategy(MAKER), (MAKER, 5, 3, 1, Hamiltonicity()), 2, True, 51, None),
+    (lambda: RandomStrategy(MAKER), (MAKER, 4, 1, 1, Cycle()), 0, False, 3,
+     [(MAKER, ((2, 0),)), (BREAKER, ((2, 3),)), (MAKER, ((1, 3),)),
+      (BREAKER, ((1, 2),)), (MAKER, ((3, 0),)), (BREAKER, ((1, 0),))]),
+    (lambda: RandomStrategy(BREAKER), (BREAKER, 4, 1, 2, Cycle()), 0, False, 6,
+     [(MAKER, ((2, 3),)), (BREAKER, ((2, 0), (1, 3))), (MAKER, ((0, 1),)),
+      (BREAKER, ((2, 1), (3, 0)))]),
+]
+
+
+@pytest.mark.parametrize("factory, args, seed, ok, nodes, counterexample", VERIFY_PINS)
+def test_verifier_results_pinned(factory, args, seed, ok, nodes, counterexample):
+    r = verify_strategy_vs_all(factory, *args, seed=seed)
+    assert (r.ok, r.nodes, r.counterexample) == (ok, nodes, counterexample)

@@ -245,6 +245,17 @@ def test_breaker_box_boxes_die_on_in_arc():
     assert strat.boxes.destroyed[3]
 
 
+def test_breaker_box_claims_count_only_arcs_into_side_b():
+    cfg = GameConfig(n=12, p=1, q=6, prop=MinInDegreePositive(), seed=0)
+    strat = BreakerBoxHamilton()
+    strat.start(cfg, strategy_rng(cfg, BREAKER))  # side A is 0..5, side B 6..11
+    board = Board(12)
+    for arc in [(0, 5), (0, 6), (0, 9), (1, 0), (2, 3), (2, 11), (7, 4)]:
+        board.orient(*arc)
+    strat._sync_claims(board)
+    assert strat.boxes.claimed_real == [2, 0, 1, 0, 0, 0]
+
+
 def test_breaker_box_forces_zero_indegree():
     for seed in range(10):
         cfg = GameConfig(n=12, p=1, q=6, prop=MinInDegreePositive(), seed=seed,
