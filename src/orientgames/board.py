@@ -74,9 +74,6 @@ class Board:
         s = self._st[pair_index(self.n, v, u)]
         return 0 if s == UNDIRECTED else (1 if s == HIGH_LOW else -1)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return self.arc(u, v) == 1
-
     def is_undirected(self, u: int, v: int) -> bool:
         return self.arc(u, v) == 0
 
@@ -148,12 +145,6 @@ class Board:
                 i += 1
 
     # -- neighborhoods ---------------------------------------------------
-
-    def out_neighbors(self, v: int) -> list[int]:
-        return [w for w in range(self.n) if w != v and self.arc(v, w) == 1]
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return [w for w in range(self.n) if w != v and self.arc(v, w) == -1]
 
     def undirected_neighbors(self, v: int) -> list[int]:
         """Vertices w whose pair with v is still undirected, ascending."""

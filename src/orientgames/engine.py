@@ -41,53 +41,133 @@ def other(role: str) -> str:
 
 
 class Property:
-    """What Maker wants to be true of the final tournament."""
+    """What Maker wants to be true of the final tournament.
+
+    ``holds`` judges the board's arcs, ``forced`` tells whether a partial
+    board already fixes the verdict, ``solver_max_n`` caps exact solving.
+    """
+
+    solver_max_n = 4
 
     def key(self) -> str:
         raise NotImplementedError
 
+    def holds(self, board: Board) -> bool:
+        """The property on the board's arcs; the verdict on a tournament."""
+        raise NotImplementedError
+
+    def forced(self, board: Board):
+        """The verdict the board already forces, or None; here only a tournament."""
+        return self.holds(board) if board.is_tournament() else None
+
+
+class MonotoneProperty(Property):
+    """Once it holds it holds on every completion: orientation only adds
+    arcs, so a cycle, a strong component or an embedding is never undone."""
+
+    def forced(self, board: Board):
+        if self.holds(board):
+            return True
+        return False if board.is_tournament() else None
+
 
 @dataclass(frozen=True)
-class Cycle(Property):
+class Cycle(MonotoneProperty):
+    solver_max_n = 5
+
     def key(self):
         return "cycle"
 
+    def holds(self, board):
+        return find_cycle(board) is not None
+
 
 @dataclass(frozen=True)
-class Hamiltonicity(Property):
+class Hamiltonicity(MonotoneProperty):
     def key(self):
         return "hamiltonicity"
 
+    def holds(self, board):
+        # On a tournament, equivalent to a Hamilton cycle and much cheaper.
+        return is_strongly_connected(board)
+
+    def forced(self, board):
+        # A vertex whose n-1 arcs all point one way lies on no cycle.
+        n = board.n
+        if n > 1 and any(
+            board.out_degree(v) == n - 1 or board.in_degree(v) == n - 1
+            for v in range(n)
+        ):
+            return False
+        return super().forced(board)
+
 
 @dataclass(frozen=True)
-class MinInDegreePositive(Property):
+class MinInDegreePositive(MonotoneProperty):
     def key(self):
         return "min-indegree-positive"
 
+    def holds(self, board):
+        return all(board.in_degree(v) >= 1 for v in range(board.n))
+
+    def forced(self, board):
+        # A vertex whose n-1 arcs all point out keeps in-degree 0.
+        n = board.n
+        if n > 1 and any(board.out_degree(v) == n - 1 for v in range(n)):
+            return False
+        return super().forced(board)
+
 
 @dataclass(frozen=True)
-class CycleLengthK(Property):
+class CycleLengthK(MonotoneProperty):
     k: int
+
+    def __post_init__(self):
+        if self.k < 3:
+            raise BadConfig(f"cycle length must be >= 3, got {self.k}")
+
+    @property
+    def solver_max_n(self):
+        return 5 if self.k == 3 else 4
 
     def key(self):
         return f"ck:{self.k}"
+
+    def holds(self, board):
+        # A tournament has a k-cycle iff some strong component has >= k
+        # vertices (strong tournaments are vertex-pancyclic; Moon's theorem).
+        return max_scc_size(board) >= self.k
 
 
 @dataclass(frozen=True)
 class NonKColorable(Property):
     k: int
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise BadConfig(f"colour count must be >= 1, got {self.k}")
+
     def key(self):
         return f"nonkcol:{self.k}"
 
+    def holds(self, board):
+        return k_colorable(board, self.k) is None
+
 
 @dataclass(frozen=True)
-class ContainsH(Property):
+class ContainsH(MonotoneProperty):
     pattern: PatternGraph
+
+    @property
+    def solver_max_n(self):
+        return 5 if self.pattern.t <= 3 else 4
 
     def key(self):
         arcs = ",".join(f"{u}>{v}" for (u, v) in sorted(self.pattern.arcs))
         return f"contains:{self.pattern.t}:{arcs}"
+
+    def holds(self, board):
+        return contains_embedding(board, self.pattern) is not None
 
 
 def property_from_key(key: str) -> Property:
@@ -97,17 +177,20 @@ def property_from_key(key: str) -> Property:
         return Hamiltonicity()
     if key in ("min-indegree-positive", "min-indegree"):
         return MinInDegreePositive()
-    if key.startswith("ck:"):
-        return CycleLengthK(int(key.split(":", 1)[1]))
-    if key.startswith("nonkcol:"):
-        return NonKColorable(int(key.split(":", 1)[1]))
-    if key.startswith("contains:"):
-        _, t, arcs = key.split(":", 2)
-        pairs = frozenset(
-            (int(a), int(b))
-            for a, b in (part.split(">") for part in arcs.split(",") if part)
-        )
-        return ContainsH(PatternGraph(int(t), pairs))
+    try:
+        if key.startswith("ck:"):
+            return CycleLengthK(int(key.split(":", 1)[1]))
+        if key.startswith("nonkcol:"):
+            return NonKColorable(int(key.split(":", 1)[1]))
+        if key.startswith("contains:"):
+            _, t, arcs = key.split(":", 2)
+            pairs = frozenset(
+                (int(a), int(b))
+                for a, b in (part.split(">") for part in arcs.split(",") if part)
+            )
+            return ContainsH(PatternGraph(int(t), pairs))
+    except (ValueError, BadConfig) as e:
+        raise ParseError(f"bad property key {key!r}: {e}") from None
     raise ParseError(f"unknown property key {key!r}")
 
 
@@ -115,65 +198,12 @@ def evaluate_property(board: Board, prop: Property) -> bool:
     """Judge the property on a finished tournament."""
     if not board.is_tournament():
         raise NotATournament("property is judged on the final tournament")
-    if isinstance(prop, Cycle):
-        return find_cycle(board) is not None
-    if isinstance(prop, Hamiltonicity):
-        # Equivalent to containing a Hamilton cycle, and much cheaper.
-        return is_strongly_connected(board)
-    if isinstance(prop, MinInDegreePositive):
-        return all(board.in_degree(v) >= 1 for v in range(board.n))
-    if isinstance(prop, CycleLengthK):
-        # A tournament has a k-cycle iff some strong component has >= k
-        # vertices (strong tournaments are vertex-pancyclic; Moon's theorem).
-        if prop.k < 3:
-            raise BadConfig("cycle length must be >= 3")
-        return max_scc_size(board) >= prop.k
-    if isinstance(prop, NonKColorable):
-        return k_colorable(board, prop.k) is None
-    if isinstance(prop, ContainsH):
-        return contains_embedding(board, prop.pattern) is not None
-    raise BadConfig(f"unknown property {prop!r}")
+    return prop.holds(board)
 
 
 def forced_verdict(board: Board, prop: Property):
-    """The verdict already forced by a partial board, or None.
-
-    Sound but deliberately incomplete: orientation only ever adds arcs, so
-    a cycle, a large strong component, or full strong connectivity can
-    never be undone, and a vertex with all n-1 incident arcs pointing one
-    way has its in- or out-degree pinned to 0.
-    """
-    n = board.n
-    if isinstance(prop, Cycle):
-        if find_cycle(board) is not None:
-            return True
-        return False if board.is_tournament() else None
-    if isinstance(prop, CycleLengthK):
-        if max_scc_size(board) >= prop.k:
-            return True
-        return None if not board.is_tournament() else False
-    if isinstance(prop, Hamiltonicity):
-        if n > 1 and any(
-            board.out_degree(v) == n - 1 or board.in_degree(v) == n - 1
-            for v in range(n)
-        ):
-            return False
-        if is_strongly_connected(board):
-            return True
-        return None if not board.is_tournament() else False
-    if isinstance(prop, MinInDegreePositive):
-        if n > 1 and any(board.out_degree(v) == n - 1 for v in range(n)):
-            return False
-        if all(board.in_degree(v) >= 1 for v in range(n)):
-            return True
-        return None if not board.is_tournament() else False
-    if isinstance(prop, ContainsH):
-        if contains_embedding(board, prop.pattern) is not None:
-            return True
-        return None if not board.is_tournament() else False
-    if board.is_tournament():
-        return evaluate_property(board, prop)
-    return None
+    """The verdict a board already forces, or None: sound, not complete."""
+    return prop.forced(board)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +218,6 @@ class GameConfig:
     q: int = 1
     prop: Property = field(default_factory=Cycle)
     seed: int = 0
-    max_rounds: int | None = None
     early_stop: bool = True
     keep_digests: bool = False
 
@@ -421,8 +450,6 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
 
     while True:
         rounds += 1
-        if config.max_rounds is not None and rounds > config.max_rounds:
-            raise BadConfig(f"max_rounds={config.max_rounds} exhausted before completion")
         if not half_turn(maker, config.p):
             break
         cont = half_turn(breaker, config.q)

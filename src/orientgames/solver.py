@@ -18,12 +18,8 @@ from .board import Board, pair_count
 from .engine import (
     BREAKER,
     MAKER,
-    ContainsH,
-    Cycle,
-    CycleLengthK,
     GameConfig,
     apply_move,
-    evaluate_property,
     forced_verdict,
     other,
     strategy_rng,
@@ -32,16 +28,6 @@ from .engine import (
 from .errors import BudgetExceeded
 
 SOLVER_MAX_BIAS = 3
-
-
-def _budget_n(prop) -> int:
-    if isinstance(prop, Cycle):
-        return 5
-    if isinstance(prop, CycleLengthK) and prop.k == 3:
-        return 5
-    if isinstance(prop, ContainsH) and prop.pattern.t <= 3:
-        return 5
-    return 4
 
 
 @dataclass
@@ -66,8 +52,8 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
                            use_memo: bool = True,
                            symmetry_reduction: bool = False) -> SolveResult:
     """Exact winner of the (p:q) orientation game under optimal play."""
-    if n > _budget_n(prop):
-        raise BudgetExceeded(f"solver capped at n={_budget_n(prop)} for {prop!r}")
+    if n > prop.solver_max_n:
+        raise BudgetExceeded(f"solver capped at n={prop.solver_max_n} for {prop!r}")
     if p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
         raise BudgetExceeded(f"solver capped at bias {SOLVER_MAX_BIAS}")
     if symmetry_reduction and n > 4:
@@ -86,10 +72,8 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         """True iff Maker wins from here with mover to continue the turn."""
         stats["nodes"] += 1
         verdict = forced_verdict(board, prop)
-        if verdict is not None:
+        if verdict is not None:  # always so on a tournament
             return verdict
-        if board.is_tournament():
-            return evaluate_property(board, prop)
         key = None
         if use_memo:
             key = (
@@ -133,7 +117,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
     turn_arcs: list = []
 
     def walk(mover: str, budget: int, opened: bool, depth: int):
-        if forced_verdict(board, prop) is not None or board.is_tournament():
+        if forced_verdict(board, prop) is not None:
             return
         if depth > 2 * pair_count(n) + 64:
             return
@@ -235,11 +219,6 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         s.start(config, strategy_rng(config, role))
         return s
 
-    def outcome(board: Board):
-        if board.is_tournament():
-            return evaluate_property(board, prop)
-        return forced_verdict(board, prop)
-
     def strategy_turn(board: Board, strat, transcript):
         """Returns None if the subtree is fine, else a counterexample."""
         stats["nodes"] += 1
@@ -265,7 +244,7 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         return bad
 
     def after_move(board: Board, strat, transcript):
-        v = outcome(board)
+        v = forced_verdict(board, prop)
         if v is not None:
             return None if v == goal else list(transcript)
         mover = transcript[-1][0] if transcript else None

@@ -13,6 +13,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
 
@@ -43,6 +44,19 @@ def random_tournament(n, rng):
             b.orient(u, v)
         else:
             b.orient(v, u)
+    return b
+
+
+@st.composite
+def boards(draw, max_n, tournament):
+    """A board on 1..max_n vertices; every pair oriented if tournament."""
+    n = draw(st.integers(1, max_n))
+    states = st.sampled_from([1, -1] if tournament else [0, 1, -1])
+    b = Board(n)
+    for (u, v) in all_pairs(n):
+        s = draw(states)
+        if s:
+            b.orient(*((u, v) if s == 1 else (v, u)))
     return b
 
 
@@ -161,7 +175,7 @@ def kahn_topological_order(board):
     while queue:
         v = queue.pop(0)
         order.append(v)
-        for w in board.out_neighbors(v):
+        for w in [w for w in range(n) if w != v and board.arc(v, w) == 1]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import pytest
 
 from orientgames.board import Board
 from orientgames.cli import main
@@ -43,6 +44,15 @@ def test_play_random_verdict_matches_replay(tmp_path):
     rec = GameRecord.from_json(read(out))
     board = replay(rec)
     assert (rec.winner == MAKER) == evaluate_property(board, rec.config.prop)
+
+
+@pytest.mark.parametrize("key", ["ck:2", "ck:x", "nonkcol:0"])
+def test_play_rejects_bad_property_parameter(key, capsys):
+    # ck:2 used to play on and hand Maker a "win" from the first arc.
+    args = ["play", "--n", "5", "--maker", "maker-random", "--breaker",
+            "breaker-random", "--property", key, "--seed", "0"]
+    assert run(args) == 2
+    assert "winner" not in capsys.readouterr().out
 
 
 def test_play_byte_identical_reruns(tmp_path):

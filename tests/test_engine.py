@@ -95,7 +95,9 @@ def test_property_keys_round_trip():
         Cycle(),
         Hamiltonicity(),
         MinInDegreePositive(),
+        CycleLengthK(3),  # the smallest parameters accepted
         CycleLengthK(4),
+        NonKColorable(1),
         NonKColorable(2),
         ContainsH(PatternGraph.cycle(3)),
     ]
@@ -338,15 +340,6 @@ def test_verdict_invariant_under_common_relabeling():
         )
         assert plain.winner == relabeled.winner
         assert replay(relabeled) == replay(plain).relabeled(perm)
-
-
-def test_max_rounds_cap():
-    from orientgames.errors import BadConfig
-
-    cfg = GameConfig(n=8, p=1, q=1, prop=Cycle(), seed=0, early_stop=False,
-                     max_rounds=3)
-    with pytest.raises(BadConfig):
-        play_game(cfg, FirstPairStrategy(MAKER), FirstPairStrategy(BREAKER))
 
 
 def test_one_vertex_games_judge_immediately():

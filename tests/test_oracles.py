@@ -35,6 +35,7 @@ from orientgames.oracles import (
 
 from conftest import (
     all_tournaments,
+    boards,
     brute_embedding_exists,
     brute_fas_min,
     brute_hamilton_cycle,
@@ -374,19 +375,6 @@ def _ref_longest_path(board):
             break
         extend(v, 1 << v, [v])
     return best
-
-
-@st.composite
-def boards(draw, max_n, tournament):
-    """A board on 1..max_n vertices; every pair oriented if tournament."""
-    n = draw(st.integers(1, max_n))
-    states = st.sampled_from([1, -1] if tournament else [0, 1, -1])
-    b = Board(n)
-    for (u, v) in all_pairs(n):
-        s = draw(states)
-        if s:
-            b.orient(*((u, v) if s == 1 else (v, u)))
-    return b
 
 
 @pytest.mark.parametrize("tournament", [True, False])

@@ -1,0 +1,190 @@
+"""Each property judges itself: holds, forced and the solver cap.
+
+The solver and the verifier trust ``forced_verdict`` to be the final
+verdict on a tournament and a sound early verdict elsewhere; these tests
+pin both, and the properties' parameter checks.
+"""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orientgames.engine import (
+    ContainsH,
+    Cycle,
+    CycleLengthK,
+    GameRecord,
+    Hamiltonicity,
+    MinInDegreePositive,
+    NonKColorable,
+    evaluate_property,
+    forced_verdict,
+    property_from_key,
+)
+from orientgames.errors import BadConfig, NotATournament, ParseError
+from orientgames.oracles import (
+    PatternGraph,
+    contains_embedding,
+    find_cycle,
+    is_strongly_connected,
+    k_colorable,
+    max_scc_size,
+)
+
+from conftest import all_tournaments, boards, random_oriented_graph
+
+PATH4 = PatternGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+
+PROPS = [
+    Cycle(),
+    Hamiltonicity(),
+    MinInDegreePositive(),
+    CycleLengthK(3),
+    CycleLengthK(4),
+    NonKColorable(1),
+    NonKColorable(2),
+    ContainsH(PatternGraph.cycle(3)),
+    ContainsH(PATH4),
+]
+
+
+def test_forced_equals_holds_on_every_small_tournament():
+    # Why the solver and the verifier may ask forced_verdict alone.
+    checks = 0
+    for n in range(1, 6):
+        for board in all_tournaments(n):
+            for prop in PROPS:
+                assert prop.forced(board) == prop.holds(board), (prop, board.to_text())
+                assert forced_verdict(board, prop) == evaluate_property(board, prop)
+                checks += 1
+    assert checks == 1099 * len(PROPS)
+
+
+def completions(board):
+    """Every tournament extending the board."""
+    free = board.undirected_pairs()
+    for dirs in itertools.product((False, True), repeat=len(free)):
+        b = board.copy()
+        for (u, v), flip in zip(free, dirs):
+            b.orient(*((v, u) if flip else (u, v)))
+        yield b
+
+
+def test_forced_verdicts_are_sound_on_small_partial_boards(rng):
+    forced = 0
+    for n in (4, 5):
+        for _ in range(600):
+            board = random_oriented_graph(n, rng, density=rng.random())
+            for prop in PROPS:
+                verdict = forced_verdict(board, prop)
+                if verdict is None:
+                    continue
+                forced += 1
+                for final in completions(board):
+                    assert evaluate_property(final, prop) == verdict, (prop, board.to_text())
+    assert forced > 2000
+
+
+def reference_evaluate(board, prop):
+    """The isinstance chain that judged tournaments before each property
+    judged itself, kept as the differential reference."""
+    if not board.is_tournament():
+        raise NotATournament("property is judged on the final tournament")
+    if isinstance(prop, Cycle):
+        return find_cycle(board) is not None
+    if isinstance(prop, Hamiltonicity):
+        return is_strongly_connected(board)
+    if isinstance(prop, MinInDegreePositive):
+        return all(board.in_degree(v) >= 1 for v in range(board.n))
+    if isinstance(prop, CycleLengthK):
+        if prop.k < 3:
+            raise BadConfig("cycle length must be >= 3")
+        return max_scc_size(board) >= prop.k
+    if isinstance(prop, NonKColorable):
+        return k_colorable(board, prop.k) is None
+    if isinstance(prop, ContainsH):
+        return contains_embedding(board, prop.pattern) is not None
+    raise BadConfig(f"unknown property {prop!r}")
+
+
+def reference_forced_verdict(board, prop):
+    """The matching isinstance chain for forced verdicts."""
+    n = board.n
+    if isinstance(prop, Cycle):
+        if find_cycle(board) is not None:
+            return True
+        return False if board.is_tournament() else None
+    if isinstance(prop, CycleLengthK):
+        if max_scc_size(board) >= prop.k:
+            return True
+        return None if not board.is_tournament() else False
+    if isinstance(prop, Hamiltonicity):
+        if n > 1 and any(
+            board.out_degree(v) == n - 1 or board.in_degree(v) == n - 1
+            for v in range(n)
+        ):
+            return False
+        if is_strongly_connected(board):
+            return True
+        return None if not board.is_tournament() else False
+    if isinstance(prop, MinInDegreePositive):
+        if n > 1 and any(board.out_degree(v) == n - 1 for v in range(n)):
+            return False
+        if all(board.in_degree(v) >= 1 for v in range(n)):
+            return True
+        return None if not board.is_tournament() else False
+    if isinstance(prop, ContainsH):
+        if contains_embedding(board, prop.pattern) is not None:
+            return True
+        return None if not board.is_tournament() else False
+    if board.is_tournament():
+        return reference_evaluate(board, prop)
+    return None
+
+
+@pytest.mark.parametrize("tournament", [True, False])
+@pytest.mark.parametrize("prop", PROPS, ids=lambda p: p.key())
+@settings(max_examples=150)
+@given(data=st.data())
+def test_forced_verdict_matches_reference_chain(tournament, prop, data):
+    board = data.draw(boards(8, tournament))
+    assert forced_verdict(board, prop) is reference_forced_verdict(board, prop)
+    if tournament:
+        assert evaluate_property(board, prop) is reference_evaluate(board, prop)
+
+
+# ---------------------------------------------------------------------------
+# Parameters are checked when a property is built, not when it is judged
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CycleLengthK(2),
+    lambda: CycleLengthK(1),
+    lambda: CycleLengthK(0),
+    lambda: NonKColorable(0),
+    lambda: NonKColorable(-1),
+])
+def test_bad_property_parameters_raise_bad_config(make):
+    with pytest.raises(BadConfig):
+        make()
+
+
+@pytest.mark.parametrize("key", [
+    "ck:2", "ck:1", "ck:x", "ck:", "nonkcol:0", "nonkcol:two",
+    "contains:x:0>1", "contains:3", "contains:3:0-1", "contains:3:0>x", "contains:2:0>5",
+    "bogus",
+])
+def test_bad_property_keys_raise_parse_error(key):
+    with pytest.raises(ParseError):
+        property_from_key(key)
+
+
+def test_record_with_bad_property_key_is_a_parse_error():
+    doc = {"format": "orientgames-record/1", "n": 3, "p": 1, "q": 1,
+           "property": "ck:x", "seed": 0, "moves": [], "winner": "maker", "rounds": 0}
+    with pytest.raises(ParseError):
+        GameRecord.from_json(json.dumps(doc))

@@ -52,11 +52,24 @@ def test_minindeg_equals_cycle_at_n3():
         assert a == b
 
 
+# Each property's solver size cap.
+SOLVER_CAPS = [
+    (Cycle(), 5),
+    (CycleLengthK(3), 5),
+    (CycleLengthK(4), 4),
+    (ContainsH(PatternGraph.cycle(3)), 5),
+    (ContainsH(PatternGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))), 4),
+    (Hamiltonicity(), 4),
+    (MinInDegreePositive(), 4),
+    (NonKColorable(2), 4),
+]
+
+
 def test_budget_errors():
-    with pytest.raises(BudgetExceeded):
-        solve_orientation_game(6, 1, 1, Cycle())
-    with pytest.raises(BudgetExceeded):
-        solve_orientation_game(5, 1, 1, Hamiltonicity())
+    for prop, cap in SOLVER_CAPS:
+        assert prop.solver_max_n == cap, prop
+        with pytest.raises(BudgetExceeded):
+            solve_orientation_game(cap + 1, 1, 1, prop)
     with pytest.raises(BudgetExceeded):
         solve_orientation_game(3, 4, 1, Cycle())
 
