@@ -23,6 +23,7 @@ from .oracles import (
     is_strongly_connected,
     k_colorable,
     max_scc_size,
+    reaches,
 )
 
 MAKER = "maker"
@@ -44,7 +45,9 @@ class Property:
     """What Maker wants to be true of the final tournament.
 
     ``holds`` judges the board's arcs, ``forced`` tells whether a partial
-    board already fixes the verdict, ``solver_max_n`` caps exact solving.
+    board already fixes the verdict, ``forced_after`` does the same given
+    that the board without the newest arcs fixed nothing, and
+    ``solver_max_n`` caps exact solving.
     """
 
     solver_max_n = 4
@@ -59,6 +62,11 @@ class Property:
     def forced(self, board: Board):
         """The verdict the board already forces, or None; here only a tournament."""
         return self.holds(board) if board.is_tournament() else None
+
+    def forced_after(self, board: Board, new_arcs):
+        """``forced(board)``, given that the board without new_arcs forced
+        nothing; a property with no cheaper check judges from scratch."""
+        return self.forced(board)
 
 
 class MonotoneProperty(Property):
@@ -80,6 +88,14 @@ class Cycle(MonotoneProperty):
 
     def holds(self, board):
         return find_cycle(board) is not None
+
+    def forced_after(self, board, new_arcs):
+        # The board without new_arcs was acyclic, so a cycle must run
+        # through some new arc u->v and back along a path v ~> u.
+        for (u, v) in new_arcs:
+            if reaches(board, v, u):
+                return True
+        return False if board.is_tournament() else None
 
 
 @dataclass(frozen=True)
@@ -201,9 +217,15 @@ def evaluate_property(board: Board, prop: Property) -> bool:
     return prop.holds(board)
 
 
-def forced_verdict(board: Board, prop: Property):
-    """The verdict a board already forces, or None: sound, not complete."""
-    return prop.forced(board)
+def forced_verdict(board: Board, prop: Property, new_arcs=None):
+    """The verdict a board already forces, or None: sound, not complete.
+
+    Passing new_arcs promises that the board without those arcs forced
+    nothing, so a property may judge from them alone.
+    """
+    if new_arcs is None:
+        return prop.forced(board)
+    return prop.forced_after(board, new_arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +463,10 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
         maker.observe(board, strategy.role, move)
         breaker.observe(board, strategy.role, move)
         if config.early_stop and not board.is_tournament():
-            verdict = forced_verdict(board, config.prop)
+            # Every earlier half-turn was judged and forced nothing; the
+            # empty board before the first one was never judged.
+            new_arcs = move if len(transcript) > 1 else None
+            verdict = forced_verdict(board, config.prop, new_arcs)
             if verdict is not None:
                 winner = MAKER if verdict else BREAKER
                 forced_round = rounds

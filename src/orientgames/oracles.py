@@ -138,6 +138,31 @@ def find_cycle(board: Board):
     return None
 
 
+def reaches(board: Board, src: int, dst: int) -> bool:
+    """True iff a directed path leads from src to dst (src reaches itself).
+
+    Breadth-first over the out-neighbour masks, a whole frontier per step:
+    the frontier's masks are ORed into the next frontier, and the search
+    stops as soon as dst's bit appears.
+    """
+    if src == dst:
+        return True
+    out_mask = board.out_mask
+    target = 1 << dst
+    seen = frontier = 1 << src
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= out_mask(bit.bit_length() - 1)
+        if reach & target:
+            return True
+        frontier = reach & ~seen
+        seen |= reach
+    return False
+
+
 def _shorten_in_tournament(board: Board, cycle: list[int]) -> list[int]:
     # Repeatedly use the chord between cycle[0] and cycle[2]: either it
     # closes a triangle or it shortcuts the cycle by one vertex.

@@ -5,7 +5,8 @@ transposition table.  Multi-arc turns are expanded into sequences of
 single orientations plus a voluntary end-of-turn (legal once at least one
 arc is down); the opponent never observes mid-turn states, so this is
 value-preserving and lets transpositions collapse.  Monotone properties
-cut whole subtrees via forced verdicts.
+cut whole subtrees via forced verdicts, each judged from the arc the node
+was entered through.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .engine import (
     strategy_rng,
     validate_move,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, SizeMismatch
 
 SOLVER_MAX_BIAS = 3
 
@@ -52,6 +53,8 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
                            use_memo: bool = True,
                            symmetry_reduction: bool = False) -> SolveResult:
     """Exact winner of the (p:q) orientation game under optimal play."""
+    if start_board is not None and start_board.n != n:
+        raise SizeMismatch(f"start board has {start_board.n} vertices, game has {n}")
     if n > prop.solver_max_n:
         raise BudgetExceeded(f"solver capped at n={prop.solver_max_n} for {prop!r}")
     if p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
@@ -68,12 +71,18 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             return _perm_key(b, perms)
         return b.canonical_key()
 
-    def search(mover: str, budget: int, opened: bool) -> bool:
-        """True iff Maker wins from here with mover to continue the turn."""
+    def search(mover: str, budget: int, opened: bool, new_arcs=None) -> bool:
+        """True iff Maker wins from here with mover to continue the turn.
+
+        new_arcs is the arc the node was entered through, judged against a
+        parent that forced nothing; () when the parent ended its turn on
+        the same board, which then needs no judging; None at the root.
+        """
         stats["nodes"] += 1
-        verdict = forced_verdict(board, prop)
-        if verdict is not None:  # always so on a tournament
-            return verdict
+        if new_arcs != ():
+            verdict = forced_verdict(board, prop, new_arcs)
+            if verdict is not None:  # always so on a tournament
+                return verdict
         key = None
         if use_memo:
             key = (
@@ -91,14 +100,14 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         if opened:
             # Voluntarily end the turn.
             nxt = other(mover)
-            if search(nxt, q if nxt == BREAKER else p, False) == want:
+            if search(nxt, q if nxt == BREAKER else p, False, ()) == want:
                 result = want
         if result != want and budget > 0:
             done = False
             for (u, v) in board.undirected_pairs():
                 for arc in ((u, v), (v, u)):
                     board.orient(*arc)
-                    sub = search(mover, budget - 1, True)
+                    sub = search(mover, budget - 1, True, (arc,))
                     board._undo_orient(*arc)
                     if sub == want:
                         result = want
@@ -121,11 +130,10 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             return
         if depth > 2 * pair_count(n) + 64:
             return
-        want = mover == MAKER
-        value = search(mover, budget, opened)
+        value = search(mover, budget, opened, ())
         if opened:
             nxt = other(mover)
-            if search(nxt, q if nxt == BREAKER else p, False) == value:
+            if search(nxt, q if nxt == BREAKER else p, False, ()) == value:
                 pv.append((mover, tuple(turn_arcs)))
                 turn_arcs.clear()
                 walk(nxt, q if nxt == BREAKER else p, False, depth + 1)
@@ -134,7 +142,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             for (u, v) in board.undirected_pairs():
                 for arc in ((u, v), (v, u)):
                     board.orient(*arc)
-                    if search(mover, budget - 1, True) == value:
+                    if search(mover, budget - 1, True, (arc,)) == value:
                         turn_arcs.append(arc)
                         walk(mover, budget - 1, True, depth + 1)
                         return
@@ -244,12 +252,13 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         return bad
 
     def after_move(board: Board, strat, transcript):
-        v = forced_verdict(board, prop)
+        # The board before this move forced nothing, or play would have
+        # stopped there (the root is judged below).
+        mover, move = transcript[-1]
+        v = forced_verdict(board, prop, move)
         if v is not None:
             return None if v == goal else list(transcript)
-        mover = transcript[-1][0] if transcript else None
-        next_role = other(mover) if mover else MAKER
-        if next_role == role:
+        if other(mover) == role:
             return strategy_turn(board, strat, transcript)
         return opponent_turn(board, strat, transcript)
 
@@ -266,6 +275,9 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
 
     strat = fresh_strategy()
     board = Board(n)
+    v = forced_verdict(board, prop)
+    if v is not None:  # decided before anyone moves, e.g. n = 1
+        return VerifyResult(ok=v == goal, counterexample=None if v == goal else [])
     if role == MAKER:
         bad = strategy_turn(board, strat, [])
     else:

@@ -2,16 +2,19 @@
 
 The solver and the verifier trust ``forced_verdict`` to be the final
 verdict on a tournament and a sound early verdict elsewhere; these tests
-pin both, and the properties' parameter checks.
+pin both, the verdict judged from the newest arcs alone, and the
+properties' parameter checks.
 """
 
 import itertools
 import json
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orientgames.board import Board, all_pairs
 from orientgames.engine import (
     ContainsH,
     Cycle,
@@ -32,6 +35,7 @@ from orientgames.oracles import (
     is_strongly_connected,
     k_colorable,
     max_scc_size,
+    reaches,
 )
 
 from conftest import all_tournaments, boards, random_oriented_graph
@@ -154,6 +158,66 @@ def test_forced_verdict_matches_reference_chain(tournament, prop, data):
     assert forced_verdict(board, prop) is reference_forced_verdict(board, prop)
     if tournament:
         assert evaluate_property(board, prop) is reference_evaluate(board, prop)
+
+
+# ---------------------------------------------------------------------------
+# Verdicts judged from the newest arcs agree with the verdict from scratch
+# ---------------------------------------------------------------------------
+
+
+def bfs_reachable(board, src):
+    """Vertices reachable from src, by breadth-first search over arc() scans."""
+    found = {src}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for w in range(board.n):
+            if w not in found and w != v and board.arc(v, w) == 1:
+                found.add(w)
+                queue.append(w)
+    return found
+
+
+@settings(max_examples=300)
+@given(board=boards(10, False))
+def test_reaches_matches_bfs(board):
+    for src in range(board.n):
+        found = bfs_reachable(board, src)
+        for dst in range(board.n):
+            assert reaches(board, src, dst) is (dst in found), (src, dst, board.to_text())
+
+
+@st.composite
+def undecided_board_and_batch(draw, prop):
+    """A board on 2..8 vertices forcing nothing for prop, and a batch of 1
+    to all of its undirected pairs, each oriented either way, in drawn
+    order."""
+    n = draw(st.integers(2, 8))
+    board = Board(n)
+    for (u, v) in all_pairs(n):
+        s = draw(st.sampled_from([0, 1, -1]))
+        if s:
+            b2 = board.copy()
+            b2.orient(*((u, v) if s == 1 else (v, u)))
+            if forced_verdict(b2, prop) is None:
+                board = b2
+    free = draw(st.permutations(board.undirected_pairs()))
+    size = draw(st.integers(1, len(free)))
+    batch = tuple((u, v) if draw(st.booleans()) else (v, u) for (u, v) in free[:size])
+    return board, batch
+
+
+@pytest.mark.parametrize("prop", PROPS, ids=lambda p: p.key())
+@settings(max_examples=150)
+@given(data=st.data())
+def test_forced_after_matches_full_verdict(prop, data):
+    parent, batch = data.draw(undecided_board_and_batch(prop))
+    assert forced_verdict(parent, prop) is None
+    board = parent.copy()
+    for arc in batch:
+        board.orient(*arc)
+    assert forced_verdict(board, prop, batch) is forced_verdict(board, prop), (
+        parent.to_text(), batch)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from orientgames.engine import (
     forced_verdict,
     validate_move,
 )
-from orientgames.errors import BudgetExceeded
+from orientgames.errors import BudgetExceeded, SizeMismatch
 from orientgames.oracles import PatternGraph
 from orientgames.solver import (
     solve_orientation_game,
@@ -72,6 +72,33 @@ def test_budget_errors():
             solve_orientation_game(cap + 1, 1, 1, prop)
     with pytest.raises(BudgetExceeded):
         solve_orientation_game(3, 4, 1, Cycle())
+
+
+def test_start_board_must_match_n():
+    with pytest.raises(SizeMismatch):
+        solve_orientation_game(4, 1, 1, Cycle(), start_board=Board(2))
+    # Hamiltonicity is capped at n=4; a 7-vertex start board must not
+    # slip past the cap under a smaller n.
+    with pytest.raises(SizeMismatch):
+        solve_orientation_game(3, 1, 1, Hamiltonicity(), start_board=Board(7))
+
+
+def test_start_board_with_a_cycle_is_judged_at_the_root():
+    start = Board(4)
+    for arc in [(0, 1), (1, 2), (2, 0)]:
+        start.orient(*arc)
+    r = solve_orientation_game(4, 1, 3, Cycle(), start_board=start)
+    assert (r.winner, r.nodes, r.pv) == (MAKER, 1, [])
+
+
+def test_verifier_judges_a_decided_root():
+    # n=1 is a finished tournament before anyone moves: no cycle, so the
+    # Maker strategy has lost with an empty transcript and is never asked
+    # for a move; Breaker's goal is met.
+    r = verify_strategy_vs_all(MakerCycle, MAKER, 1, 1, 1, Cycle())
+    assert (r.ok, r.counterexample, r.nodes) == (False, [], 0)
+    r = verify_strategy_vs_all(BreakerOutStar, BREAKER, 1, 1, 1, Cycle())
+    assert (r.ok, r.counterexample, r.nodes) == (True, None, 0)
 
 
 def test_memo_and_plain_agree_on_all_n3_instances():

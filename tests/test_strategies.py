@@ -643,11 +643,11 @@ def test_breaker_box_threshold_gate_at_n200():
 # ---------------------------------------------------------------------------
 
 
-def _records_hash(make_maker, n, q, prop, make_breaker, seeds=range(5)):
+def _records_hash(make_maker, n, q, prop, make_breaker, seeds=range(5), early_stop=False):
     """sha256 over every seed's round digests, verdict and Maker stats."""
     docs = []
     for seed in seeds:
-        cfg = GameConfig(n=n, p=1, q=q, prop=prop, seed=seed, early_stop=False,
+        cfg = GameConfig(n=n, p=1, q=q, prop=prop, seed=seed, early_stop=early_stop,
                          keep_digests=True)
         maker = make_maker()
         rec = play_game(cfg, maker, make_breaker())
@@ -693,3 +693,28 @@ def test_seeded_records_pinned(maker, n, q, breaker, expected):
         k = 8 if maker == "hamilton-k8" else None
         make_maker, prop = (lambda: MakerHamilton(k=k)), Hamiltonicity()
     assert _records_hash(make_maker, n, q, prop, make_breaker) == expected
+
+
+# Cycle games with early stop, captured while every early-stop check still
+# judged the board from scratch.  The out-star rows run to the final
+# tournament through Breaker batches of up to n-2 arcs; the random rows
+# stop at a forced_round, closed by batches of one or three arcs.
+PINNED_EARLY_STOP_RECORDS = [
+    ("outstar", 8, 6, "ac2474aa53dd8f30"),
+    ("outstar", 12, 10, "b7d415709bc44e0f"),
+    ("random", 8, 1, "258f2c1cd62188eb"),
+    ("random", 8, 3, "3e3e69af731b7e4f"),
+    ("random", 12, 1, "b08fc860a89d17b3"),
+    ("random", 12, 3, "87fd3275383ac330"),
+]
+
+
+@pytest.mark.parametrize("breaker,n,q,expected", PINNED_EARLY_STOP_RECORDS)
+def test_early_stop_records_pinned(breaker, n, q, expected):
+    make_breaker = {
+        "outstar": BreakerOutStar,
+        "random": lambda: RandomStrategy(BREAKER),
+    }[breaker]
+    got = _records_hash(lambda: RandomStrategy(MAKER), n, q, Cycle(), make_breaker,
+                        early_stop=True)
+    assert got == expected
