@@ -12,7 +12,8 @@ for solver memoization: a base-3 digit string in pair-index order, which is
 injective and cheap to hash.  Per-vertex out- and in-degree counts and
 out-neighbour bitmasks are kept beside the bytes, updated on every
 orientation, so degree queries are O(1) and graph searches can walk a
-vertex's out-neighbours with bit operations.
+vertex's out-neighbours with bit operations.  A whole move is checked by
+the game's rules and written in one pass over its arcs (apply_checked).
 """
 
 from __future__ import annotations
@@ -90,6 +91,69 @@ class Board:
         self._in[v] += 1
         self._outm[u] |= 1 << v
 
+    # -- moves -------------------------------------------------------------
+
+    def check_move(self, move, bias: int) -> str | None:
+        """Reason the move is illegal on this board, or None if it is fine.
+
+        A move is a tuple or list of at least one arc, at most bias (or all
+        remaining pairs if fewer), no pair repeated, and every pair
+        undirected.  The reason names the first broken rule, arc by arc.
+        """
+        if not isinstance(move, (tuple, list)):
+            return f"malformed move {move!r}"
+        if not move:
+            return "empty move"
+        limit = min(bias, self.undirected_count)
+        if len(move) > limit:
+            return f"{len(move)} arcs exceeds allowance {limit}"
+        n, st = self.n, self._st
+        row = 2 * n - 1  # pair_index, inlined
+        seen = set()
+        for arc in move:
+            if not isinstance(arc, (tuple, list)) or len(arc) != 2:
+                return f"malformed arc {arc!r}"
+            u, v = arc
+            # Exactly int: a bool would pass as one but be recorded as "True>2".
+            if type(u) is not int or type(v) is not int:
+                return f"non-integer vertex in arc {arc!r}"
+            if u == v:
+                return f"self-loop at {u}"
+            if not (0 <= u < n and 0 <= v < n):
+                return f"arc ({u},{v}) out of range"
+            a, b = (u, v) if u < v else (v, u)
+            i = a * (row - a) // 2 + (b - a - 1)
+            if i in seen:
+                return f"pair {(a, b)} repeated in move"
+            if st[i] != UNDIRECTED:
+                return f"pair {(a, b)} already oriented"
+            seen.add(i)
+        return None
+
+    def apply_checked(self, move, bias: int) -> str | None:
+        """Play the move if it is legal; else leave the board untouched.
+
+        Returns the reason the move is illegal, or None once it is played.
+        """
+        reason = self.check_move(move, bias)
+        if reason is None:
+            st, out, inn, outm = self._st, self._out, self._in, self._outm
+            row = 2 * self.n - 1
+            # The pair indices are worked out again, not kept from
+            # check_move: a list of them per move, allocated between the
+            # game's long-lived move tuples, raised the peak RSS of an
+            # n=400 game by about 0.5 MB.
+            for (u, v) in move:
+                if u < v:
+                    st[u * (row - u) // 2 + (v - u - 1)] = LOW_HIGH
+                else:
+                    st[v * (row - v) // 2 + (u - v - 1)] = HIGH_LOW
+                out[u] += 1
+                inn[v] += 1
+                outm[u] |= 1 << v
+            self.undirected_count -= len(move)
+        return reason
+
     def _undo_orient(self, u: int, v: int) -> None:
         # Solver-internal: make the pair {u, v} undirected again.  The arc's
         # direction is read from the stored byte, not from the argument order.
@@ -166,6 +230,10 @@ class Board:
     def in_degree(self, v: int) -> int:
         return self._in[v]
 
+    def degrees(self) -> tuple[list[int], list[int]]:
+        """Out- and in-degree of every vertex, as two fresh lists."""
+        return self._out[:], self._in[:]
+
     def out_mask(self, v: int) -> int:
         """Out-neighbours of v as a bitmask: bit w is set iff v->w."""
         return self._outm[v]
@@ -205,7 +273,9 @@ class Board:
         return bytes(self._st)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.n.to_bytes(4, "big") + bytes(self._st)).hexdigest()[:16]
+        h = hashlib.sha256(self.n.to_bytes(4, "big"))
+        h.update(self._st)
+        return h.hexdigest()[:16]
 
     def relabeled(self, perm) -> "Board":
         """Board with vertex i renamed perm[i]; arcs carried along."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import random
+import re
 from dataclasses import dataclass, field
 
 from .board import Board
@@ -110,10 +111,8 @@ class Hamiltonicity(MonotoneProperty):
     def forced(self, board):
         # A vertex whose n-1 arcs all point one way lies on no cycle.
         n = board.n
-        if n > 1 and any(
-            board.out_degree(v) == n - 1 or board.in_degree(v) == n - 1
-            for v in range(n)
-        ):
+        outs, ins = board.degrees()
+        if n > 1 and (n - 1 in outs or n - 1 in ins):
             return False
         return super().forced(board)
 
@@ -124,12 +123,12 @@ class MinInDegreePositive(MonotoneProperty):
         return "min-indegree-positive"
 
     def holds(self, board):
-        return all(board.in_degree(v) >= 1 for v in range(board.n))
+        return 0 not in board.degrees()[1]
 
     def forced(self, board):
         # A vertex whose n-1 arcs all point out keeps in-degree 0.
         n = board.n
-        if n > 1 and any(board.out_degree(v) == n - 1 for v in range(n)):
+        if n > 1 and n - 1 in board.degrees()[0]:
             return False
         return super().forced(board)
 
@@ -256,41 +255,43 @@ Move = tuple  # tuple of (u, v) arc declarations
 def validate_move(board: Board, move, bias: int):
     """Reason the move is illegal on this board, or None if it is fine.
 
-    A tuple or list of at least one arc, at most bias (or all remaining
-    pairs if fewer), no pair repeated, and every pair undirected when its
-    turn comes.
+    The rules are Board.check_move's; the board is not written.
     """
-    if not isinstance(move, (tuple, list)):
-        return f"malformed move {move!r}"
-    if not move:
-        return "empty move"
-    limit = min(bias, board.undirected_count)
-    if len(move) > limit:
-        return f"{len(move)} arcs exceeds allowance {limit}"
-    seen = set()
-    for arc in move:
-        if not isinstance(arc, (tuple, list)) or len(arc) != 2:
-            return f"malformed arc {arc!r}"
-        u, v = arc
-        # Exactly int: a bool would pass as one but be recorded as "True>2".
-        if type(u) is not int or type(v) is not int:
-            return f"non-integer vertex in arc {arc!r}"
-        if u == v:
-            return f"self-loop at {u}"
-        if not (0 <= u < board.n and 0 <= v < board.n):
-            return f"arc ({u},{v}) out of range"
-        pair = (min(u, v), max(u, v))
-        if pair in seen:
-            return f"pair {pair} repeated in move"
-        seen.add(pair)
-        if not board.is_undirected(u, v):
-            return f"pair {pair} already oriented"
+    return board.check_move(move, bias)
+
+
+def apply_move(board: Board, move, bias: int | None = None):
+    """Orient the move's arcs.
+
+    Given the mover's bias, this is Board.apply_checked: the move is
+    checked whole first, and the reason it is illegal is returned with the
+    board untouched, or None once it is played.  Without a bias each arc
+    must be legal, as for Board.orient.
+    """
+    if bias is not None:
+        return board.apply_checked(move, bias)
+    for (u, v) in move:
+        board.orient(u, v)
     return None
 
 
-def apply_move(board: Board, move) -> None:
-    for (u, v) in move:
-        board.orient(u, v)
+# A recorded move's arcs joined by commas: "u>v" each, in ASCII digits.
+_ARC_LIST = re.compile(r"[0-9]+>[0-9]+(?:,[0-9]+>[0-9]+)*")
+
+
+def _parse_arcs(arcs) -> tuple:
+    """The arcs of one recorded move, from their "u>v" strings."""
+    if arcs == []:
+        return ()  # well formed; replay rejects the empty move
+    try:
+        text = ",".join(arcs)
+    except TypeError:
+        text = ""
+    # No arc may hold a comma of its own, so each one is one "u>v" of text.
+    if text.count(",") != len(arcs) - 1 or not _ARC_LIST.fullmatch(text):
+        raise ParseError(f"bad arcs in move {arcs!r}")
+    ends = map(int, text.replace(",", ">").split(">"))
+    return tuple(zip(ends, ends))
 
 
 @dataclass
@@ -341,11 +342,7 @@ class GameRecord:
         )
         transcript = []
         for entry in doc["moves"]:
-            arcs = tuple(
-                (int(a), int(b))
-                for a, b in (s.split(">") for s in entry["arcs"])
-            )
-            transcript.append((entry["role"], arcs))
+            transcript.append((entry["role"], _parse_arcs(entry["arcs"])))
         return cls(
             config=config,
             transcript=transcript,
@@ -451,14 +448,13 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
     def half_turn(strategy: Strategy, bias: int):
         nonlocal winner, forced_round, forfeit, forfeit_reason
         move = strategy.next_move(board, transcript)
-        reason = validate_move(board, move, bias)
+        reason = apply_move(board, move, bias)
         if reason is not None:
             forfeit = strategy.role
             forfeit_reason = reason
             winner = other(strategy.role)
             return False
         move = tuple(move)
-        apply_move(board, move)
         transcript.append((strategy.role, move))
         maker.observe(board, strategy.role, move)
         breaker.observe(board, strategy.role, move)
@@ -502,24 +498,24 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
 def replay(record: GameRecord) -> Board:
     """Reconstruct the final board from a record, validating as it goes.
 
-    When the record carries digests (one per completed round plus the
-    final board) each one is checked against the rebuilt board.
+    One pass over the transcript: roles alternate from Maker, and every
+    move is checked and played by the game's rules.  When the record
+    carries digests (one per completed round plus the final board) each
+    one is checked against the rebuilt board.
     """
-    board = Board(record.config.n)
-    expect = MAKER
-    check_digests = bool(record.digests)
+    config = record.config
+    board = Board(config.n)
+    check_digests = record.digests is not None
     round_digests = []
     for i, (role, move) in enumerate(record.transcript):
+        expect = BREAKER if i % 2 else MAKER
         if role != expect:
             raise CorruptTranscript(f"move {i}: expected {expect}, got {role}")
-        bias = record.config.p if role == MAKER else record.config.q
-        reason = validate_move(board, move, bias)
+        reason = board.apply_checked(move, config.q if i % 2 else config.p)
         if reason is not None:
             raise CorruptTranscript(f"move {i} ({role}): {reason}")
-        apply_move(board, move)
-        if check_digests and role == BREAKER:
+        if check_digests and i % 2:
             round_digests.append(board.digest())
-        expect = other(role)
     if check_digests:
         if record.digests != round_digests + [board.digest()]:
             raise CorruptTranscript("per-round digest trace mismatch")

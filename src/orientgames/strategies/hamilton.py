@@ -87,31 +87,33 @@ def _seed_words(seed) -> list[int]:
     return [zlib.crc32(repr(seed).encode())]
 
 
+AUDIT_CHUNK = 1000  # samples per batch: that many permutations of n 2-byte ids
+AUDIT_PROBES = 16  # random slot pairs probed each way per sample
+
+
 def audit_template(adj: np.ndarray, k: int, samples: int, rng) -> bool:
     """Sampled check that every size-k cut has arcs both ways.
 
-    Each sample draws disjoint k-sets A, B and probes random slot pairs
-    until an arc is seen in each direction; a random tournament passes a
-    probe in O(1) tries, so the audit is cheap despite the sample count.
+    Each sample draws disjoint k-sets A, B (the head of a random
+    permutation) and probes random slot pairs for an arc in each
+    direction, a batch of samples at a time.  A random tournament passes
+    a probe with probability about 1/2, so only the rare sample whose
+    probes all miss one way gets the exact check of its whole block.
     """
     n = adj.shape[0]
     if (adj.sum(axis=0) == 0).any() or (adj.sum(axis=1) == 0).any():
         return n <= 2
     if 2 * k > n:
         return True
-    probe_cap = 64
-    for _ in range(samples):
-        perm = rng.permutation(n)
-        a, b = perm[:k], perm[k : 2 * k]
-        for (src, dst) in ((a, b), (b, a)):
-            found = False
-            for _ in range(probe_cap):
-                u = src[rng.integers(len(src))]
-                v = dst[rng.integers(len(dst))]
-                if adj[u, v]:
-                    found = True
-                    break
-            if not found and not adj[np.ix_(src, dst)].any():
+    for done in range(0, samples, AUDIT_CHUNK):
+        m = min(AUDIT_CHUNK, samples - done)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (m, 1)), axis=1)
+        u = np.take_along_axis(perms, rng.integers(0, k, (m, AUDIT_PROBES)), axis=1)
+        v = np.take_along_axis(perms, rng.integers(k, 2 * k, (m, AUDIT_PROBES)), axis=1)
+        seen_both = adj[u, v].any(axis=1) & adj[v, u].any(axis=1)
+        for s in np.flatnonzero(~seen_both):
+            a, b = perms[s, :k], perms[s, k : 2 * k]
+            if not adj[np.ix_(a, b)].any() or not adj[np.ix_(b, a)].any():
                 return False
     return True
 
@@ -449,9 +451,9 @@ class MakerHamilton(Strategy):
         self.stats["stage1_overran"] = self.stage1_overran
         self.stats["min_free_seen"] = self.ledger.min_free_seen
         self.stats["starved"] = np.flatnonzero(self.ledger.starved).tolist()
-        n = board.n
-        self.stats["handoff_min_in"] = min(board.in_degree(v) for v in range(n))
-        self.stats["handoff_min_out"] = min(board.out_degree(v) for v in range(n))
+        outs, ins = board.degrees()
+        self.stats["handoff_min_in"] = min(ins)
+        self.stats["handoff_min_out"] = min(outs)
         self.cut_engine = TemplateCutEngine(
             board,
             self.cfg.tstar,

@@ -70,28 +70,22 @@ class BreakerGreedyStar(Strategy):
     role = BREAKER
 
     def next_move(self, board: Board, transcript):
-        n = board.n
-        ins = [board.in_degree(v) for v in range(n)]
-        free = [n - 1 - board.out_degree(v) - ins[v] for v in range(n)]
-        arcs = []
+        # The keys are read once, so the targets come in ascending key
+        # order; a pair between two targets went to the earlier one.
+        last = board.n - 1
+        outs, ins = board.degrees()
+        order = sorted((i, last - o - i, v) for v, (o, i) in enumerate(zip(outs, ins))
+                       if o + i < last)
         budget = self.config.q
-        excluded: set[int] = set()
-        claimed: set[tuple[int, int]] = set()
-        while budget > 0:
-            candidates = [(ins[v], free[v], v) for v in range(n) if v not in excluded and free[v]]
-            if not candidates:
-                break
-            target = min(candidates)[2]
+        arcs = []
+        targets: set[int] = set()
+        for _, _, target in order:
             for w in board.undirected_neighbors(target):
-                if budget == 0:
-                    break
-                pair = (min(target, w), max(target, w))
-                if pair in claimed:
-                    continue
-                arcs.append((target, w))
-                claimed.add(pair)
-                budget -= 1
-            excluded.add(target)
+                if w not in targets:
+                    arcs.append((target, w))
+                    if len(arcs) == budget:
+                        return tuple(arcs)
+            targets.add(target)
         return tuple(arcs)
 
 

@@ -72,6 +72,36 @@ def random_oriented_graph(n, rng, density=0.5):
     return b
 
 
+def reference_move_reason(board, move, bias):
+    """Why a move is illegal, or None: the rules one arc at a time through
+    arc(), reporting the first arc that breaks one."""
+    if not isinstance(move, (tuple, list)):
+        return f"malformed move {move!r}"
+    if not move:
+        return "empty move"
+    limit = min(bias, board.undirected_count)
+    if len(move) > limit:
+        return f"{len(move)} arcs exceeds allowance {limit}"
+    seen = set()
+    for arc in move:
+        if not isinstance(arc, (tuple, list)) or len(arc) != 2:
+            return f"malformed arc {arc!r}"
+        u, v = arc
+        if type(u) is not int or type(v) is not int:
+            return f"non-integer vertex in arc {arc!r}"
+        if u == v:
+            return f"self-loop at {u}"
+        if not (0 <= u < board.n and 0 <= v < board.n):
+            return f"arc ({u},{v}) out of range"
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return f"pair {pair} repeated in move"
+        seen.add(pair)
+        if board.arc(u, v) != 0:
+            return f"pair {pair} already oriented"
+    return None
+
+
 def brute_fas_min(t, arcs):
     """Minimum back-arc count over all t! orderings."""
     best = None

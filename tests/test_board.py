@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs, new_board, pair_count, pair_index
+from orientgames.engine import apply_move, validate_move
 from orientgames.errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
 
-from conftest import random_oriented_graph
+from conftest import boards, random_oriented_graph, reference_move_reason
 
 
 def test_new_board_sizes():
@@ -214,3 +215,71 @@ def test_board_counters_match_scans(data):
                         [x.undirected_neighbors(v) for v in range(x.n)],
                         [x.out_mask(v) for v in range(x.n)]) == scan_vertices(x)
                 assert x.lowest_undirected() == (x.undirected_pairs() or [None])[0]
+
+
+def board_state(b):
+    return (b.canonical_key(), b.undirected_count, b.degrees(),
+            [b.out_mask(v) for v in range(b.n)])
+
+
+# Arcs no rule admits: malformed, non-int or bool vertices.
+ODD_ARCS = [None, 5, (), (5,), (0, 1, 2), "01", (True, 1), (0, False), (0.0, 1), (1, 2.5)]
+
+
+def either_way(draw, pair):
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+@st.composite
+def moves(draw, board):
+    """Up to four legal arcs, then maybe one flaw put in among them: an
+    odd arc, a self-loop, a vertex that may be out of range, a pair
+    already oriented or one repeated; the move itself may be no sequence."""
+    n = board.n
+    free = board.undirected_pairs()
+    # Leave a pair free when there are two, so a flaw often fits the allowance.
+    most = min(4, max(1, len(free) - 1))
+    picked = draw(st.lists(st.sampled_from(free), min_size=1, max_size=most, unique=True)
+                  ) if free else []
+    arcs = [either_way(draw, p) for p in picked]
+    # 0-2 none, 3-4 odd arc, 5 self-loop, 6 any vertices, 7-8 oriented, 9-10 repeated
+    flaw = draw(st.integers(0, 10))
+    extra = None
+    if flaw in (3, 4):
+        extra = draw(st.sampled_from(ODD_ARCS))
+    elif flaw == 5:
+        v = draw(st.integers(0, n - 1))
+        extra = (v, v)
+    elif flaw == 6:
+        extra = draw(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)))
+    elif flaw in (7, 8) and board.undirected_count < pair_count(n):
+        extra = either_way(draw, draw(st.sampled_from(list(board.arcs()))))
+    elif flaw in (9, 10) and arcs:
+        extra = either_way(draw, draw(st.sampled_from(arcs)))
+    if extra is not None:
+        arcs.insert(draw(st.integers(0, len(arcs))), extra)
+    shape = draw(st.integers(0, 9))  # mostly a tuple, else a list or no sequence
+    return tuple(arcs) if shape < 7 else [list(arcs), None, 5][shape - 7]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.data())
+def test_apply_checked_matches_validate_and_apply(data):
+    b = data.draw(boards(7, False), label="board")
+    move = data.draw(moves(b), label="move")
+    most = pair_count(b.n) + 1  # often enough for any move, else maybe too small
+    bias = most if data.draw(st.integers(0, 3)) else data.draw(st.integers(1, most))
+    want = reference_move_reason(b, move, bias)
+    assert validate_move(b, move, bias) == want
+    before = board_state(b)
+    ref = b.copy()
+    assert b.apply_checked(move, bias) == want
+    if want is not None:
+        assert board_state(b) == before
+        return
+    apply_move(ref, move)
+    assert b == ref and board_state(b) == board_state(ref)
+    outs, ins, free, masks = scan_vertices(b)
+    assert b.degrees() == (outs, ins)
+    assert [b.out_mask(v) for v in range(b.n)] == masks
+    assert b.undirected_count == sum(map(len, free)) // 2

@@ -219,6 +219,17 @@ def test_template_generate_and_verify(tmp_path, capsys):
     assert "pass" in capsys.readouterr().out
 
 
+def test_template_verify_rejects_transitive_tournament(tmp_path, capsys):
+    b = Board(12)
+    for u in range(12):
+        for v in range(u + 1, 12):
+            b.orient(u, v)
+    f = tmp_path / "trans.tour"
+    f.write_text(b.to_text())
+    assert run(["template", "--verify", str(f), "--k", "2", "--samples", "500"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_play_maker_hamilton_smoke(tmp_path, capsys):
     out = tmp_path / "h.json"
     code = run(["play", "--n", "30", "--q", "2", "--maker", "maker-hamilton",

@@ -1,7 +1,10 @@
 import copy
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.board import Board, pair_count
 from orientgames.engine import (
@@ -18,17 +21,18 @@ from orientgames.engine import (
     Strategy,
     evaluate_property,
     forced_verdict,
+    other,
     play_game,
     property_from_key,
     replay,
     strategy_rng,
     validate_move,
 )
-from orientgames.errors import CorruptTranscript, NotATournament
+from orientgames.errors import CorruptTranscript, NotATournament, ParseError
 from orientgames.oracles import PatternGraph
 from orientgames.strategies import RandomStrategy
 
-from conftest import random_tournament
+from conftest import random_tournament, reference_move_reason
 
 
 class FirstPairStrategy(Strategy):
@@ -258,6 +262,92 @@ def test_replay_empty_transcript_is_fresh_board():
     cfg = GameConfig(n=4, prop=Cycle(), seed=0)
     rec = GameRecord(config=cfg, transcript=[], winner=BREAKER, rounds=0)
     assert replay(rec) == Board(4)
+
+
+def test_replay_rejects_empty_digest_list():
+    # A game played with keep_digests records at least the final digest.
+    cfg = GameConfig(n=4, p=1, q=2, prop=Cycle(), seed=5, keep_digests=True)
+    rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    rec.digests = []
+    with pytest.raises(CorruptTranscript, match="digest"):
+        replay(GameRecord.from_json(rec.to_json()))
+
+
+def reference_replay(record):
+    """Why replay must refuse the record, or None: the transcript checked
+    one move at a time by the reference rules, played through orient()."""
+    board = Board(record.config.n)
+    digests = []
+    for i, (role, move) in enumerate(record.transcript):
+        expect = BREAKER if i % 2 else MAKER
+        if role != expect:
+            return f"move {i}: expected {expect}, got {role}"
+        bias = record.config.q if i % 2 else record.config.p
+        reason = reference_move_reason(board, move, bias)
+        if reason is not None:
+            return f"move {i} ({role}): {reason}"
+        for (u, v) in move:
+            board.orient(u, v)
+        if i % 2:
+            digests.append(board.digest())
+    if record.digests is not None and record.digests != digests + [board.digest()]:
+        return "per-round digest trace mismatch"
+    return None
+
+
+TAMPERS = ("none", "role", "allowance", "reuse", "digest", "no-digests")
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_replay_matches_reference_on_tampered_records(data):
+    cfg = GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=data.draw(st.integers(0, 999)),
+                     early_stop=False, keep_digests=True)
+    rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    transcript, digests = list(rec.transcript), list(rec.digests)
+    kind = data.draw(st.sampled_from(TAMPERS), label="kind")
+    i = data.draw(st.integers(0, len(transcript) - 1), label="move")
+    role, move = transcript[i]
+    if kind == "role":
+        transcript[i] = (other(role), move)
+    elif kind == "allowance":  # one arc more than the bias, whatever the arcs
+        transcript[i] = (role, move + move[:1] * (cfg.q if i % 2 else cfg.p))
+    elif kind == "reuse" and i > 0:  # a pair some earlier move oriented
+        u, v = data.draw(st.sampled_from([a for _, m in transcript[:i] for a in m]))
+        transcript[i] = (role, (data.draw(st.sampled_from([(u, v), (v, u)])),) + move[1:])
+    elif kind == "digest":
+        digests[data.draw(st.integers(0, len(digests) - 1))] = "0" * 16
+    elif kind == "no-digests":
+        digests = []
+    tampered = GameRecord(config=cfg, transcript=transcript, winner=rec.winner,
+                          rounds=rec.rounds, digests=digests)
+    want = reference_replay(tampered)
+    assert (want is None) == (kind == "none" or (kind == "reuse" and i == 0))
+    if want is None:
+        assert replay(tampered) == replay(rec)
+    else:
+        with pytest.raises(CorruptTranscript) as err:
+            replay(tampered)
+        assert str(err.value) == want
+
+
+def record_with_arc(text):
+    cfg = GameConfig(n=4, p=1, q=2, prop=Cycle(), seed=2, keep_digests=True)
+    doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())
+    doc["moves"][1]["arcs"][0] = text
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", ["0>1>2", "a>b", "0_1>2", " 1>2", "+1>2", "1>", ">2",
+                                  "12", "1>2,0>3", "\u0661>2", 5, None])
+def test_from_json_rejects_bad_arc(text):
+    with pytest.raises(ParseError):
+        GameRecord.from_json(record_with_arc(text))
+
+
+def test_from_json_reads_decimal_arcs():
+    rec = GameRecord.from_json(record_with_arc("03>1"))
+    assert rec.transcript[1][1][0] == (3, 1)
 
 
 def test_early_stop_records_forced_round():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientgames.board import Board
+from orientgames.board import Board, pair_count
 from orientgames.engine import (
     BREAKER,
     MAKER,
@@ -48,12 +48,15 @@ from orientgames.strategies import (
     MakerNonKColorable,
     RandomStrategy,
     TemplateCutEngine,
+    audit_template,
     build_strategy,
     generate_template,
     potential_blocker_move,
 )
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
 from orientgames.strategies.sigma import sigma_reduction_count
+
+from conftest import boards
 
 # Lexicographically first strongly connected 5-vertex tournament with
 # FAS = 2, frozen from an exhaustive scan (no 4-vertex oriented graph
@@ -600,6 +603,109 @@ def test_maker_cycle_guaranteed_range_large_board():
                              early_stop=False)
             rec = play_game(cfg, MakerCycle(), RandomStrategy(BREAKER))
             assert rec.winner == MAKER, (bias, seed)
+
+
+# ---------------------------------------------------------------------------
+# template audit
+# ---------------------------------------------------------------------------
+
+
+def planted_one_way_cut(n):
+    """Every arc from the low half to the high half; inside a half i->j
+    (i < j) iff j - i is odd, so every vertex has arcs in and out."""
+    adj = np.zeros((n, n), dtype=bool)
+    half = n // 2
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u < half <= v or (v - u) % 2:
+                adj[u, v] = True
+            else:
+                adj[v, u] = True
+    return adj
+
+
+def transitive(n):
+    return np.triu(np.ones((n, n), dtype=bool), 1)
+
+
+@pytest.mark.parametrize("adj,k", [(planted_one_way_cut(20), 2), (planted_one_way_cut(20), 5),
+                                   (transitive(12), 2)])
+def test_audit_finds_one_way_cut(adj, k):
+    assert not audit_template(adj, k, 10_000, np.random.default_rng(0))
+
+
+def test_audit_passes_random_tournament():
+    adj = generate_template(40, seed=1, audit_samples=0)
+    assert audit_template(adj, 15, 10_000, np.random.default_rng(0))
+
+
+def test_audit_block_check_settles_missed_probes():
+    # Each 2+2 cut of this strong 4-tournament has a single slot one way,
+    # so about one sample in a hundred misses it with every probe; the
+    # exact block check must still see the arc.
+    adj = np.zeros((4, 4), dtype=bool)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]:
+        adj[u, v] = True
+    assert audit_template(adj, 2, 10_000, np.random.default_rng(0))
+
+
+def test_audit_without_samples_draws_nothing():
+    rng = np.random.default_rng(0)
+    assert audit_template(planted_one_way_cut(20), 2, 0, rng)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
+# generate_template(400, seed) at the default k, which audits, as packed
+# adjacency hashes; captured while the audit still drew one sample at a time.
+PINNED_TEMPLATES = {0: "d2aab19537c3d06e", 1: "bc269aa895d53396", 2: "afce67d6dee8dfe9"}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_TEMPLATES))
+def test_template_n400_pinned(seed):
+    adj = generate_template(400, seed)
+    assert hashlib.sha256(np.packbits(adj).tobytes()).hexdigest()[:16] == PINNED_TEMPLATES[seed]
+
+
+# ---------------------------------------------------------------------------
+# greedy star
+# ---------------------------------------------------------------------------
+
+
+def greedy_star_reference(board, q):
+    """BreakerGreedyStar's rule as first written: rebuild the keys, then
+    rescan every vertex for each next target."""
+    n = board.n
+    ins = [board.in_degree(v) for v in range(n)]
+    free = [n - 1 - board.out_degree(v) - ins[v] for v in range(n)]
+    arcs = []
+    budget = q
+    excluded = set()
+    claimed = set()
+    while budget > 0:
+        candidates = [(ins[v], free[v], v) for v in range(n) if v not in excluded and free[v]]
+        if not candidates:
+            break
+        target = min(candidates)[2]
+        for w in board.undirected_neighbors(target):
+            if budget == 0:
+                break
+            pair = (min(target, w), max(target, w))
+            if pair in claimed:
+                continue
+            arcs.append((target, w))
+            claimed.add(pair)
+            budget -= 1
+        excluded.add(target)
+    return tuple(arcs)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_greedy_star_matches_reference_rule(data):
+    board = data.draw(boards(12, False), label="board")
+    q = data.draw(st.integers(1, max(1, pair_count(board.n))), label="q")
+    breaker = started(BreakerGreedyStar(), n=board.n, q=q)
+    assert breaker.next_move(board, []) == greedy_star_reference(board, q)
 
 
 def test_stage2_config_formulas():
