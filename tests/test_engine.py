@@ -331,22 +331,24 @@ def test_replay_matches_reference_on_tampered_records(data):
         assert str(err.value) == want
 
 
-def record_with_arc(text):
+def record_with_arcs(arcs):
     cfg = GameConfig(n=4, p=1, q=2, prop=Cycle(), seed=2, keep_digests=True)
     doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())
-    doc["moves"][1]["arcs"][0] = text
+    doc["moves"][1]["arcs"] = arcs
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("text", ["0>1>2", "a>b", "0_1>2", " 1>2", "+1>2", "1>", ">2",
-                                  "12", "1>2,0>3", "\u0661>2", 5, None])
-def test_from_json_rejects_bad_arc(text):
+# One arc that is not "<digits>><digits>", or a move's arcs that are no list.
+@pytest.mark.parametrize("arcs", [[t] for t in ["0>1>2", "a>b", "0_1>2", " 1>2", "+1>2", "1>",
+                                                ">2", "12", "1>2,0>3", "\u0661>2", 5, None]]
+                         + [None, 5, "0>1", {"0": 1}], ids=repr)
+def test_from_json_rejects_bad_arc(arcs):
     with pytest.raises(ParseError):
-        GameRecord.from_json(record_with_arc(text))
+        GameRecord.from_json(record_with_arcs(arcs))
 
 
 def test_from_json_reads_decimal_arcs():
-    rec = GameRecord.from_json(record_with_arc("03>1"))
+    rec = GameRecord.from_json(record_with_arcs(["03>1"]))
     assert rec.transcript[1][1][0] == (3, 1)
 
 
