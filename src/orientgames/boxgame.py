@@ -87,7 +87,6 @@ class BoxGameState:
     """
 
     sizes: list[int]
-    variant: str = CLASSIC
     virtual_pad: int = 0
     claimed_real: list[int] = field(default_factory=list)
     claimed_virtual: list[int] = field(default_factory=list)
@@ -111,7 +110,6 @@ class BoxGameState:
     def clone(self) -> "BoxGameState":
         return BoxGameState(
             sizes=list(self.sizes),
-            variant=self.variant,
             virtual_pad=self.virtual_pad,
             claimed_real=list(self.claimed_real),
             claimed_virtual=list(self.claimed_virtual),
@@ -333,7 +331,7 @@ def verify_box_strategy(r: int, k: int, b: int, variant: str = CLASSIC):
                 return False
         return True
 
-    start = BoxGameState(sizes=[k] * r, variant=variant, virtual_pad=pad)
+    start = BoxGameState(sizes=[k] * r, virtual_pad=pad)
     if variant == CLASSIC:
         won = maker_then_breaker(start)
     else:

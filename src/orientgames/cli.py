@@ -123,6 +123,8 @@ def biases_for(n: int, args):
         coefs = [float(c) for c in args.bias_coef.split(",") if c.strip() != ""]
         if not coefs:
             raise ParseError("empty bias coefficient list")
+        if n < 2:
+            raise ParseError(f"--bias-coef needs n >= 2 (ln n is 0 at n = 1), got n = {n}")
         return [max(1, math.floor(c * n / math.log(n))) for c in coefs]
     raise ParseError("sweep needs --bias or --bias-coef")
 
@@ -335,6 +337,8 @@ def cmd_template(args) -> int:
         ok = audit_template(adj, k, args.samples, rng)
         print(f"expansion audit at k={k}, {args.samples} samples: {'pass' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_BAD_INPUT
+    if args.n is None:
+        raise ParseError("template needs --n or --verify")
     adj = generate_template(args.n, args.seed, audit_samples=args.samples, k=args.k)
     board = template_board(adj)
     with open(args.out, "w") as fh:

@@ -339,24 +339,32 @@ class GameRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "GameRecord":
-        doc = json.loads(text)
+        """The record in ``text``; ParseError if it is not a well-formed one."""
+        try:
+            doc = json.loads(text)
+        except ValueError as e:
+            raise ParseError(f"record is not JSON: {e}") from None
+        if not isinstance(doc, dict):
+            raise ParseError("record is not a JSON object")
         if doc.get("format") != RECORD_FORMAT:
             raise ParseError(f"unsupported record format {doc.get('format')!r}")
-        config = GameConfig(
-            n=doc["n"],
-            p=doc["p"],
-            q=doc["q"],
-            prop=property_from_key(doc["property"]),
-            seed=doc["seed"],
-        )
-        transcript = []
-        for entry in doc["moves"]:
-            transcript.append((entry["role"], _parse_arcs(entry["arcs"])))
+        try:
+            n, p, q, seed, rounds = (doc[k] for k in ("n", "p", "q", "seed", "rounds"))
+            key, moves, winner = doc["property"], doc["moves"], doc["winner"]
+            if any(type(x) is not int for x in (n, p, q, seed, rounds)):
+                raise ParseError("n, p, q, seed and rounds must be integers")
+            if not isinstance(key, str):
+                raise ParseError(f"bad property key {key!r}")
+            if not isinstance(moves, list) or not all(isinstance(m, dict) for m in moves):
+                raise ParseError("moves must be a list of objects")
+            transcript = [(m["role"], _parse_arcs(m["arcs"])) for m in moves]
+        except KeyError as e:
+            raise ParseError(f"record lacks key {e}") from None
         return cls(
-            config=config,
+            config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed),
             transcript=transcript,
-            winner=doc["winner"],
-            rounds=doc["rounds"],
+            winner=winner,
+            rounds=rounds,
             forced_round=doc.get("forced_round"),
             forfeit=doc.get("forfeit"),
             forfeit_reason=doc.get("forfeit_reason"),

@@ -53,25 +53,8 @@ class CorruptTranscript(GameError):
     pass
 
 
-class IllegalMove(GameError):
-    """Raised internally when a strategy proposes an invalid move.
-
-    The engine converts this into a forfeit for the offending side; it
-    never crashes a game.
-    """
-
-    def __init__(self, role, reason):
-        super().__init__(f"{role}: {reason}")
-        self.role = role
-        self.reason = reason
-
-
 class StrategyStuck(GameError):
     """A strategy's internal invariant failed; indicates an engine bug."""
-
-
-class StageComplete(GameError):
-    """Control-flow signal: degree-building stage finished, hand off."""
 
 
 class CriterionUnmet(GameError):

@@ -12,7 +12,6 @@ was entered through.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 
 from .board import Board, pair_count
@@ -20,15 +19,14 @@ from .engine import (
     BREAKER,
     MAKER,
     GameConfig,
-    apply_move,
     forced_verdict,
     other,
     strategy_rng,
-    validate_move,
 )
 from .errors import BudgetExceeded, SizeMismatch
 
 SOLVER_MAX_BIAS = 3
+VERIFY_NODE_LIMIT = 50_000_000
 
 
 @dataclass
@@ -39,19 +37,8 @@ class SolveResult:
     memo_hits: int
 
 
-def _perm_key(board: Board, perms) -> bytes:
-    best = None
-    for perm in perms:
-        key = board.relabeled(perm).canonical_key()
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def solve_orientation_game(n: int, p: int, q: int, prop,
-                           start_board: Board | None = None,
-                           use_memo: bool = True,
-                           symmetry_reduction: bool = False) -> SolveResult:
+                           start_board: Board | None = None) -> SolveResult:
     """Exact winner of the (p:q) orientation game under optimal play."""
     if start_board is not None and start_board.n != n:
         raise SizeMismatch(f"start board has {start_board.n} vertices, game has {n}")
@@ -59,17 +46,9 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         raise BudgetExceeded(f"solver capped at n={prop.solver_max_n} for {prop!r}")
     if p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
         raise BudgetExceeded(f"solver capped at bias {SOLVER_MAX_BIAS}")
-    if symmetry_reduction and n > 4:
-        raise BudgetExceeded("isomorphism keying only for n <= 4")
     board = start_board.copy() if start_board is not None else Board(n)
-    perms = list(itertools.permutations(range(n))) if symmetry_reduction else None
     memo: dict = {}
     stats = {"nodes": 0, "hits": 0}
-
-    def board_key(b: Board) -> bytes:
-        if perms is not None:
-            return _perm_key(b, perms)
-        return b.canonical_key()
 
     def search(mover: str, budget: int, opened: bool, new_arcs=None) -> bool:
         """True iff Maker wins from here with mover to continue the turn.
@@ -83,18 +62,11 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             verdict = forced_verdict(board, prop, new_arcs)
             if verdict is not None:  # always so on a tournament
                 return verdict
-        key = None
-        if use_memo:
-            key = (
-                board_key(board),
-                mover,
-                min(budget, board.undirected_count),
-                opened,
-            )
-            hit = memo.get(key)
-            if hit is not None:
-                stats["hits"] += 1
-                return hit
+        key = (board.canonical_key(), mover, min(budget, board.undirected_count), opened)
+        hit = memo.get(key)
+        if hit is not None:
+            stats["hits"] += 1
+            return hit
         want = mover == MAKER
         result = not want
         if opened:
@@ -115,8 +87,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
                         break
                 if done:
                     break
-        if use_memo:
-            memo[key] = result
+        memo[key] = result
         return result
 
     maker_wins = search(MAKER, p, False)
@@ -204,7 +175,7 @@ def _opponent_turn_boards(board: Board, bias: int):
 
 
 def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, prop,
-                           seed: int = 0, node_limit: int = 50_000_000) -> VerifyResult:
+                           seed: int = 0) -> VerifyResult:
     """Check a deterministic strategy against every legal opponent line.
 
     The fixed side plays the strategy; the opponent's turns are expanded
@@ -230,19 +201,17 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
     def strategy_turn(board: Board, strat, transcript):
         """Returns None if the subtree is fine, else a counterexample."""
         stats["nodes"] += 1
-        if stats["nodes"] > node_limit:
-            raise BudgetExceeded(f"verification exceeded {node_limit} nodes")
+        if stats["nodes"] > VERIFY_NODE_LIMIT:
+            raise BudgetExceeded(f"verification exceeded {VERIFY_NODE_LIMIT} nodes")
         last_move = transcript[-1][1] if transcript else ()
         key = (board.canonical_key(), strat.state_key(), last_move)
         if key in verified:
             return None
         move = strat.next_move(board, transcript)
-        reason = validate_move(board, move, own_bias)
-        if reason is not None:
+        b2 = board.copy()
+        if b2.apply_checked(move, own_bias) is not None:
             return transcript + [(role, move)]
         move = tuple(move)
-        b2 = board.copy()
-        apply_move(b2, move)
         strat.observe(b2, role, move)
         transcript.append((role, move))
         bad = after_move(b2, strat, transcript)
@@ -290,20 +259,17 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
 # ---------------------------------------------------------------------------
 
 
-def threshold_scan(n: int, prop, q_max: int | None = None) -> int:
+def threshold_scan(n: int, prop) -> int:
     """Minimal Breaker bias winning the (1:b) game, verified monotone.
 
-    Scans every bias from 1 up to q_max (default: the solver's bias cap),
-    solving each exactly, and checks the scan is a clean Maker-prefix /
-    Breaker-suffix split before returning the threshold.
+    Scans every bias from 1 up to the solver's bias cap, solving each
+    exactly, and checks the scan is a clean Maker-prefix / Breaker-suffix
+    split before returning the threshold.
     """
-    if q_max is None:
-        q_max = SOLVER_MAX_BIAS
-    winners = []
-    for b in range(1, q_max + 1):
-        winners.append(solve_orientation_game(n, 1, b, prop).winner)
+    winners = [solve_orientation_game(n, 1, b, prop).winner
+               for b in range(1, SOLVER_MAX_BIAS + 1)]
     if BREAKER not in winners:
-        raise BudgetExceeded(f"Breaker never wins up to bias {q_max}; cannot bracket")
+        raise BudgetExceeded(f"Breaker never wins up to bias {SOLVER_MAX_BIAS}; cannot bracket")
     t = winners.index(BREAKER) + 1
     for b, w in enumerate(winners, start=1):
         expected = MAKER if b < t else BREAKER

@@ -24,7 +24,6 @@ from .hamilton import (
     DangerLedger,
     MakerHamilton,
     MakerNonKColorable,
-    Stage2Config,
     TemplateCutEngine,
     audit_template,
     default_expansion_size,
@@ -55,7 +54,6 @@ __all__ = [
     "MakerHamilton",
     "MakerNonKColorable",
     "RandomStrategy",
-    "Stage2Config",
     "TemplateCutEngine",
     "audit_template",
     "build_strategy",

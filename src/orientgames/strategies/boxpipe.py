@@ -33,9 +33,7 @@ class BreakerBoxHamilton(Strategy):
         self.b = b
         self.side_a = list(range(b))
         self.side_b = list(range(b, n))
-        self.boxes = BoxGameState(
-            sizes=[len(self.side_b)] * b, variant="twobox", virtual_pad=b
-        )
+        self.boxes = BoxGameState(sizes=[len(self.side_b)] * b, virtual_pad=b)
 
     def observe(self, board, role, move):
         for (u, v) in move:

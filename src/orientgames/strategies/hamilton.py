@@ -26,18 +26,20 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..board import Board
 from ..engine import BREAKER, MAKER, Strategy
-from ..errors import CriterionUnmet, NoAgreeingPair, StageComplete
+from ..errors import CriterionUnmet, NoAgreeingPair
 from .potential import HypergraphState
 
 E_FREE, E_MAKER, E_BREAKER = 0, 1, 2
 
 TARGET_REAL_DEGREE = 4  # c; bipartite goal is c+1
+SAMPLE_BUDGET = 4096  # sampled cuts tracked by the stage-2 engine
+CANDIDATE_CAP = 64  # arcs scored per stage-2 move
+TEMPLATE_TRIES = 32  # templates drawn before giving up on the audit
 
 
 def default_expansion_size(n: int) -> int:
@@ -47,21 +49,13 @@ def default_expansion_size(n: int) -> int:
     return min(n, math.ceil(n / math.log(n) ** 0.4))
 
 
-@dataclass
-class Stage2Config:
-    tstar: np.ndarray  # boolean adjacency of the template tournament
-    k: int  # expansion set size
-    round_cap: int  # stage-1 budget, 8n
-    sample_budget: int = 4096
-
-
 # ---------------------------------------------------------------------------
 # Template tournaments
 # ---------------------------------------------------------------------------
 
 
-def generate_template(n: int, seed, audit_samples: int = 10_000, k: int | None = None,
-                      max_tries: int = 32) -> np.ndarray:
+def generate_template(n: int, seed, audit_samples: int = 10_000,
+                      k: int | None = None) -> np.ndarray:
     """Seeded fair-coin tournament whose cut expansion passes a sampled audit.
 
     Regenerates with a fresh derived seed until the audit passes; the audit
@@ -69,7 +63,7 @@ def generate_template(n: int, seed, audit_samples: int = 10_000, k: int | None =
     """
     if k is None:
         k = default_expansion_size(n)
-    for attempt in range(max_tries):
+    for attempt in range(TEMPLATE_TRIES):
         rng = np.random.default_rng([attempt] + _seed_words(seed))
         coins = rng.random((n, n)) < 0.5
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
@@ -77,7 +71,7 @@ def generate_template(n: int, seed, audit_samples: int = 10_000, k: int | None =
         np.fill_diagonal(adj, False)
         if audit_template(adj, k, audit_samples, rng):
             return adj
-    raise CriterionUnmet(f"no template with two-way cut arcs found in {max_tries} tries")
+    raise CriterionUnmet(f"no template with two-way cut arcs found in {TEMPLATE_TRIES} tries")
 
 
 def _seed_words(seed) -> list[int]:
@@ -244,14 +238,12 @@ class TemplateCutEngine:
     """
 
     def __init__(self, board: Board, tstar: np.ndarray, k: int, threat_bias: int,
-                 sample_budget: int = 4096, exact: bool = False, seed=0,
-                 candidate_cap: int = 64):
+                 exact: bool = False, seed=0):
         self.n = board.n
         self.tstar = tstar
         self.k = k
         self.threat_bias = threat_bias
         self.exact = exact
-        self.candidate_cap = candidate_cap
         n = self.n
         und = np.zeros((n, n), dtype=bool)
         for (u, v) in board.undirected_pairs():
@@ -263,7 +255,7 @@ class TemplateCutEngine:
         if exact:
             self._init_exact(fwd)
         else:
-            self._init_sampled(fwd, sample_budget, seed)
+            self._init_sampled(fwd, seed)
 
     # -- exact ---------------------------------------------------------------
 
@@ -299,11 +291,10 @@ class TemplateCutEngine:
 
     # -- sampled ---------------------------------------------------------------
 
-    def _init_sampled(self, fwd, budget, seed):
+    def _init_sampled(self, fwd, seed):
         n, k = self.n, self.k
-        rng = np.random.default_rng([k, budget] + _seed_words(seed))
-        if 2 * k > n:
-            budget = 0
+        rng = np.random.default_rng([k, SAMPLE_BUDGET] + _seed_words(seed))
+        budget = SAMPLE_BUDGET if 2 * k <= n else 0
         # Membership by vertex: row u says which sampled cuts have u in A
         # (a_mem) or in B (b_mem), so one arc's update reads two rows.
         self.a_mem = np.zeros((n, budget), dtype=bool)
@@ -370,9 +361,9 @@ class TemplateCutEngine:
                 if p not in seen:
                     seen.add(p)
                     cands.append(p)
-            if len(cands) >= self.candidate_cap:
+            if len(cands) >= CANDIDATE_CAP:
                 break
-        cands = sorted(cands)[: self.candidate_cap]
+        cands = sorted(cands)[:CANDIDATE_CAP]
         if not cands:
             return None
         weights = np.exp2(-self.rem / self.threat_bias)
@@ -408,26 +399,17 @@ class MakerHamilton(Strategy):
 
     role = MAKER
 
-    def __init__(self, k: int | None = None, sample_budget: int = 4096,
-                 audit_samples: int = 10_000,
-                 target_degree: int | None = None):
+    def __init__(self, k: int | None = None, audit_samples: int = 10_000):
         self.k_override = k
-        self.sample_budget = sample_budget
         self.audit_samples = audit_samples
-        self.target_degree = target_degree
 
     def start(self, config, rng):
         super().start(config, rng)
         n = config.n
-        k = self.k_override if self.k_override is not None else default_expansion_size(n)
-        tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=k)
-        self.cfg = Stage2Config(
-            tstar=tstar,
-            k=k,
-            round_cap=8 * n,
-            sample_budget=self.sample_budget,
-        )
-        self.ledger = DangerLedger(n, config.q, target=self.target_degree)
+        self.k = self.k_override if self.k_override is not None else default_expansion_size(n)
+        self.tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=self.k)
+        self.round_cap = 8 * n  # stage-1 budget
+        self.ledger = DangerLedger(n, config.q)
         self.stage = 1
         self.cut_engine: TemplateCutEngine | None = None
         self.stage1_rounds = 0
@@ -455,36 +437,30 @@ class MakerHamilton(Strategy):
         self.stats["handoff_min_in"] = min(ins)
         self.stats["handoff_min_out"] = min(outs)
         self.cut_engine = TemplateCutEngine(
-            board,
-            self.cfg.tstar,
-            self.cfg.k,
-            threat_bias=self.config.q,
-            sample_budget=self.cfg.sample_budget,
-            seed=self.config.seed,
+            board, self.tstar, self.k, threat_bias=self.config.q, seed=self.config.seed,
         )
 
     # -- moves ----------------------------------------------------------------
 
     def next_move(self, board: Board, transcript):
         if self.stage == 1:
-            if self.stage1_rounds >= self.cfg.round_cap:
+            if self.stage1_rounds >= self.round_cap:
                 self.stage1_overran = True
-                self._enter_stage2(board)
             else:
-                try:
-                    return self._stage1_move(board)
-                except StageComplete:
-                    self._enter_stage2(board)
+                move = self._stage1_move(board)
+                if move is not None:
+                    self.stage1_rounds += 1
+                    return move
+            self._enter_stage2(board)
         return self.cut_engine.agreeing_move(board)
 
     def _stage1_move(self, board: Board):
+        """Maker's stage-1 move, or None once no vertex is dangerous."""
         ledger = self.ledger
-        self.stage1_rounds += 1
         for _ in range(board.n):
             v = ledger.pick_vertex()
             if v is None:
-                self.stage1_rounds -= 1
-                raise StageComplete("all bipartite degrees at target")
+                return None
             edge = ledger.sample_free_edge(v, self.rng)
             if edge is None:
                 ledger.starved[v] = True
@@ -516,30 +492,23 @@ class MakerNonKColorable(Strategy):
 
     role = MAKER
 
-    def __init__(self, k: int, sample_budget: int = 4096, exact: bool | None = None,
-                 audit_samples: int = 0):
+    def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.k = k
-        self.sample_budget = sample_budget
-        self.exact = exact
-        # No template audit by default: with constant-size cuts every
-        # tournament has some one-way set pair, so the two-way property is
-        # unattainable and the potential play does not depend on it.
-        self.audit_samples = audit_samples
 
     def start(self, config, rng):
         super().start(config, rng)
         n = config.n
         m = max(1, n // (2 * self.k))
         self.m = m
-        exact = self.exact
-        if exact is None:
-            exact = math.comb(n, m) * math.comb(n - m, m) <= 100_000
-        tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=m)
+        exact = math.comb(n, m) * math.comb(n - m, m) <= 100_000
+        # No template audit: with constant-size cuts every tournament has
+        # some one-way set pair, so the two-way property is unattainable and
+        # the potential play does not depend on it.
+        tstar = generate_template(n, config.seed, audit_samples=0, k=m)
         self.cut_engine = TemplateCutEngine(
-            Board(n), tstar, m, threat_bias=config.q,
-            sample_budget=self.sample_budget, exact=exact, seed=config.seed,
+            Board(n), tstar, m, threat_bias=config.q, exact=exact, seed=config.seed,
         )
 
     def observe(self, board, role, move):

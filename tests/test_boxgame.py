@@ -56,7 +56,7 @@ def test_box_maker_move_examples():
 
 
 def test_box_maker_move_real_before_virtual():
-    st = BoxGameState(sizes=[2], variant="twobox", virtual_pad=2)
+    st = BoxGameState(sizes=[2], virtual_pad=2)
     claims = box_maker_move(st, 3)
     assert [kind for (_, kind) in claims] == ["real", "real", "virtual"]
 

@@ -289,3 +289,17 @@ def test_sweep_cycle_guarantee_rate(tmp_path):
     rows = list(csv.DictReader(open(out)))
     agg = [r for r in rows if r["kind"] == "aggregate"][0]
     assert float(agg["maker_win_rate"]) == 1.0
+
+
+def test_sweep_bias_coef_needs_two_vertices(tmp_path, capsys):
+    # ln 1 = 0: the bias formula has no value at n = 1.
+    assert run(["sweep", "--n", "1", "--bias-coef", "0.5", "--maker", "maker-random",
+                "--breaker", "breaker-random", "--property", "cycle",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n >= 2" in capsys.readouterr().err
+
+
+def test_template_without_n_or_verify(tmp_path, capsys):
+    assert run(["template", "--out", str(tmp_path / "t.tour")]) == 2
+    assert "needs --n or --verify" in capsys.readouterr().err
+    assert not (tmp_path / "t.tour").exists()

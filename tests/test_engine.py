@@ -18,6 +18,7 @@ from orientgames.engine import (
     Hamiltonicity,
     MinInDegreePositive,
     NonKColorable,
+    RECORD_FORMAT,
     Strategy,
     evaluate_property,
     forced_verdict,
@@ -345,6 +346,28 @@ def record_with_arcs(arcs):
 def test_from_json_rejects_bad_arc(arcs):
     with pytest.raises(ParseError):
         GameRecord.from_json(record_with_arcs(arcs))
+
+
+# A record document broken whole, not in one arc.
+@pytest.mark.parametrize("text_or_edit", [
+    "{", "[]", "5", json.dumps({"format": RECORD_FORMAT}),
+    lambda d: d.pop("winner"), lambda d: d.pop("moves"), lambda d: d["moves"][0].pop("role"),
+    lambda d: d.update(n="5"), lambda d: d.update(p=1.0), lambda d: d.update(q=None),
+    lambda d: d.update(seed=True), lambda d: d.update(rounds="3"),
+    lambda d: d.update(property=5), lambda d: d.update(moves={}),
+    lambda d: d.update(moves=[["maker", ["0>1"]]]),
+], ids=["truncated", "list", "number", "format-only", "no-winner", "no-moves", "no-role",
+        "str-n", "float-p", "null-q", "bool-seed", "str-rounds", "int-property",
+        "moves-object", "move-list"])
+def test_from_json_rejects_malformed_record(text_or_edit):
+    if callable(text_or_edit):
+        doc = json.loads(record_with_arcs(["0>1"]))
+        text_or_edit(doc)
+        text = json.dumps(doc)
+    else:
+        text = text_or_edit
+    with pytest.raises(ParseError):
+        GameRecord.from_json(text)
 
 
 def test_from_json_reads_decimal_arcs():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from orientgames import solver
 from orientgames.board import Board
 from orientgames.engine import (
     BREAKER,
@@ -101,14 +102,6 @@ def test_verifier_judges_a_decided_root():
     assert (r.ok, r.counterexample, r.nodes) == (True, None, 0)
 
 
-def test_memo_and_plain_agree_on_all_n3_instances():
-    for prop in ALL_N3_PROPS:
-        for p, q in itertools.product((1, 2, 3), repeat=2):
-            memo = solve_orientation_game(3, p, q, prop, use_memo=True)
-            plain = solve_orientation_game(3, p, q, prop, use_memo=False)
-            assert memo.winner == plain.winner, (prop, p, q)
-
-
 def test_verdict_invariant_under_relabeling(rng):
     for _ in range(10):
         start = Board(4)
@@ -121,14 +114,6 @@ def test_verdict_invariant_under_relabeling(rng):
         a = solve_orientation_game(4, 1, 2, Cycle(), start_board=start).winner
         b = solve_orientation_game(4, 1, 2, Cycle(), start_board=start.relabeled(perm)).winner
         assert a == b
-
-
-def test_symmetry_reduction_flag_is_equivalent():
-    for p, q in [(1, 1), (1, 2), (2, 1)]:
-        plain = solve_orientation_game(4, p, q, Cycle())
-        reduced = solve_orientation_game(4, p, q, Cycle(), symmetry_reduction=True)
-        assert plain.winner == reduced.winner
-        assert reduced.nodes <= plain.nodes
 
 
 def test_principal_variation_replays_to_winner():
@@ -251,7 +236,7 @@ def _naive_minimax(n, p, q, prop):
 
 
 def test_solver_agrees_with_naive_whole_move_minimax():
-    for prop in [Cycle(), Hamiltonicity(), MinInDegreePositive()]:
+    for prop in ALL_N3_PROPS:
         for p, q in itertools.product((1, 2, 3), repeat=2):
             assert (
                 solve_orientation_game(3, p, q, prop).winner
@@ -268,14 +253,29 @@ def test_solver_agrees_with_naive_whole_move_minimax():
     )
 
 
-class NoneMoveStrategy(Strategy):
+class FixedMoveStrategy(Strategy):
+    def __init__(self, move):
+        self.move = move
+
     def next_move(self, board, transcript):
-        return None
+        return self.move
 
 
-def test_verifier_reports_non_sequence_move():
-    res = verify_strategy_vs_all(NoneMoveStrategy, MAKER, 4, 1, 1, Cycle())
-    assert (res.ok, res.counterexample, res.nodes) == (False, [(MAKER, None)], 1)
+# The verifier's checked write must refuse each move whole.
+@pytest.mark.parametrize("move, p", [
+    (None, 1),
+    (((0, 1), (2, 3)), 1),  # two arcs at bias 1
+    (((0, 1), (1, 0)), 2),  # one pair twice, within the bias
+], ids=["None", "two-arcs-at-p1", "repeated-pair"])
+def test_verifier_reports_illegal_move(move, p):
+    res = verify_strategy_vs_all(lambda: FixedMoveStrategy(move), MAKER, 4, p, 1, Cycle())
+    assert (res.ok, res.counterexample, res.nodes) == (False, [(MAKER, move)], 1)
+
+
+def test_verifier_node_limit(monkeypatch):
+    monkeypatch.setattr(solver, "VERIFY_NODE_LIMIT", 5)
+    with pytest.raises(BudgetExceeded, match="exceeded 5 nodes"):
+        verify_strategy_vs_all(MakerCycle, MAKER, 6, 1, 1, Cycle())
 
 
 # Results captured with adjacency-list oracles and full deep copies of the

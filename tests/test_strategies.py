@@ -718,8 +718,8 @@ def test_stage2_config_formulas():
 
     maker = MakerHamilton(audit_samples=50)
     maker.start(cfg, strategy_rng(cfg, MAKER))
-    assert maker.cfg.round_cap == 8 * 40
-    assert maker.cfg.k == default_expansion_size(40)
+    assert maker.round_cap == 8 * 40
+    assert maker.k == default_expansion_size(40)
 
 
 def test_sigma_sampled_branch_plays_legally():
