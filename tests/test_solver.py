@@ -26,7 +26,12 @@ from orientgames.solver import (
     threshold_scan,
     verify_strategy_vs_all,
 )
-from orientgames.strategies import BreakerOutStar, MakerCycle, RandomStrategy
+from orientgames.strategies import (
+    BreakerBoxHamilton,
+    BreakerOutStar,
+    MakerCycle,
+    RandomStrategy,
+)
 
 ALL_N3_PROPS = [
     Cycle(),
@@ -324,6 +329,16 @@ VERIFY_PINS = [
     (lambda: RandomStrategy(BREAKER), (BREAKER, 4, 1, 2, Cycle()), 0, False, 6,
      [(MAKER, ((2, 3),)), (BREAKER, ((2, 0), (1, 3))), (MAKER, ((0, 1),)),
       (BREAKER, ((2, 1), (3, 0)))]),
+    # Box Breaker on min-in-degree.  The two losses are criterion 7's
+    # two-box corners (r, k, b) = (3, 2, 3) and (2, 1, 2): q boxes of
+    # n - q items at bias q, where solve_box_game says Box-Breaker wins.
+    (BreakerBoxHamilton, (BREAKER, 4, 1, 3, MinInDegreePositive()), 0, True, 60, None),
+    (BreakerBoxHamilton, (BREAKER, 6, 1, 4, MinInDegreePositive()), 0, True, 630, None),
+    (BreakerBoxHamilton, (BREAKER, 5, 1, 3, MinInDegreePositive()), 0, False, 151,
+     [(MAKER, ((4, 2),)), (BREAKER, ((0, 3), (1, 3), (0, 4))), (MAKER, ((2, 0),)),
+      (BREAKER, ((1, 4),)), (MAKER, ((2, 1),))]),
+    (BreakerBoxHamilton, (BREAKER, 3, 1, 2, MinInDegreePositive()), 0, False, 2,
+     [(MAKER, ((2, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((1, 0),))]),
 ]
 
 

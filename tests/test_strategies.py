@@ -824,3 +824,23 @@ def test_early_stop_records_pinned(breaker, n, q, expected):
     got = _records_hash(lambda: RandomStrategy(MAKER), n, q, Cycle(), make_breaker,
                         early_stop=True)
     assert got == expected
+
+
+# The box Breaker, captured before it read its boxes off the board.  The
+# first row is early-stop-n100's box pairing; the other two run without
+# early stop into the endgame star and the fallback pair.
+PINNED_BOX_RECORDS = [
+    ("random", 100, 30, MinInDegreePositive(), True, "03b5f10c82fa397b"),
+    ("greedy-attack", 12, 6, MinInDegreePositive(), False, "d317b82b480bb57d"),
+    ("random", 40, 13, Hamiltonicity(), False, "4e20ce5fd1e3e98f"),
+]
+
+
+@pytest.mark.parametrize("maker,n,q,prop,early_stop,expected", PINNED_BOX_RECORDS)
+def test_box_records_pinned(maker, n, q, prop, early_stop, expected):
+    make_maker = {
+        "random": lambda: RandomStrategy(MAKER),
+        "greedy-attack": lambda: MakerGreedyAttack(range(6)),
+    }[maker]
+    got = _records_hash(make_maker, n, q, prop, BreakerBoxHamilton, early_stop=early_stop)
+    assert got == expected
