@@ -360,15 +360,30 @@ class GameRecord:
             transcript = [(m["role"], _parse_arcs(m["arcs"])) for m in moves]
         except KeyError as e:
             raise ParseError(f"record lacks key {e}") from None
+        forced_round, forfeit, reason, digests = (
+            doc.get(k) for k in ("forced_round", "forfeit", "forfeit_reason", "digests")
+        )
+        if winner not in (MAKER, BREAKER):
+            raise ParseError(f"bad winner {winner!r}")
+        if forced_round is not None and type(forced_round) is not int:
+            raise ParseError(f"bad forced_round {forced_round!r}")
+        if forfeit not in (None, MAKER, BREAKER):
+            raise ParseError(f"bad forfeit {forfeit!r}")
+        if reason is not None and not isinstance(reason, str):
+            raise ParseError(f"bad forfeit_reason {reason!r}")
+        if digests is not None and not (
+            isinstance(digests, list) and all(isinstance(d, str) for d in digests)
+        ):
+            raise ParseError("digests must be a list of strings")
         return cls(
             config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed),
             transcript=transcript,
             winner=winner,
             rounds=rounds,
-            forced_round=doc.get("forced_round"),
-            forfeit=doc.get("forfeit"),
-            forfeit_reason=doc.get("forfeit_reason"),
-            digests=doc.get("digests"),
+            forced_round=forced_round,
+            forfeit=forfeit,
+            forfeit_reason=reason,
+            digests=digests,
         )
 
 

@@ -356,9 +356,16 @@ def test_from_json_rejects_bad_arc(arcs):
     lambda d: d.update(seed=True), lambda d: d.update(rounds="3"),
     lambda d: d.update(property=5), lambda d: d.update(moves={}),
     lambda d: d.update(moves=[["maker", ["0>1"]]]),
+    lambda d: d.update(winner=5), lambda d: d.update(winner="nobody"),
+    lambda d: d.update(forced_round="x"), lambda d: d.update(forced_round=1.0),
+    lambda d: d.update(forfeit=5), lambda d: d.update(forfeit="nobody"),
+    lambda d: d.update(forfeit_reason=5), lambda d: d.update(digests="ab"),
+    lambda d: d.update(digests=[5]),
 ], ids=["truncated", "list", "number", "format-only", "no-winner", "no-moves", "no-role",
         "str-n", "float-p", "null-q", "bool-seed", "str-rounds", "int-property",
-        "moves-object", "move-list"])
+        "moves-object", "move-list", "int-winner", "unknown-winner", "str-forced-round",
+        "float-forced-round", "int-forfeit", "unknown-forfeit", "int-forfeit-reason",
+        "str-digests", "int-digest"])
 def test_from_json_rejects_malformed_record(text_or_edit):
     if callable(text_or_edit):
         doc = json.loads(record_with_arcs(["0>1"]))
