@@ -8,6 +8,12 @@ two-box variant (virtual padding) covers the one kill Maker gets between
 Breaker turns: once two boxes are complete Breaker finishes one of them
 into a full out-star, pinning its in-degree to 0 for good.
 
+The board is the whole box state: box v is alive iff v has in-degree 0,
+and its open items are the B-vertices w with v->w not yet oriented.
+Virtual items are never read off the board because claiming one yields
+no arc: it is claimed only on a box with no real items left, and while
+real items remain every box carries all b of its virtual ones.
+
 Constructible only when n <= b * H_b; at smaller bias the constructor
 refuses with the computed threshold.
 """
@@ -15,7 +21,7 @@ refuses with the computed threshold.
 from __future__ import annotations
 
 from ..board import Board
-from ..boxgame import BoxGameState, breaker_bias_threshold, harmonic
+from ..boxgame import breaker_bias_threshold, harmonic
 from ..engine import BREAKER, Strategy
 from ..errors import CriterionUnmet
 
@@ -25,111 +31,71 @@ class BreakerBoxHamilton(Strategy):
 
     def start(self, config, rng):
         super().start(config, rng)
-        n, b = config.n, config.q
-        if n > b * harmonic(b):
+        n, q = config.n, config.q
+        if n > q * harmonic(q):
             raise CriterionUnmet(
-                f"n={n} needs bias >= {breaker_bias_threshold(n)}, got {b}"
+                f"n={n} needs bias >= {breaker_bias_threshold(n)}, got {q}"
             )
-        self.b = b
-        self.side_a = list(range(b))
-        self.side_b = list(range(b, n))
-        self.boxes = BoxGameState(sizes=[len(self.side_b)] * b, virtual_pad=b)
+        # Side A names only vertices on the board; the bias still caps a move.
+        self.b = min(q, n)
+        self.side_b = (1 << n) - (1 << self.b)  # bits b..n-1
 
-    def observe(self, board, role, move):
-        for (u, v) in move:
-            if v < self.b and not self.boxes.destroyed[v]:
-                self.boxes.destroy(v)
-
-    def _sync_claims(self, board: Board):
-        # Items claimed by arcs v->w regardless of who oriented them.
-        side_b = (1 << board.n) - (1 << self.b)  # bits b..n-1
-        for v in self.side_a:
-            if self.boxes.destroyed[v]:
-                continue
-            have = (board.out_mask(v) & side_b).bit_count()
-            while self.boxes.claimed_real[v] < have:
-                self.boxes.claim(v)
-
-    def _pipeline_claims(self, b: int) -> list[tuple[int, str]]:
+    def _pipeline_claims(self, open_items: dict[int, int]) -> list[int]:
         """Claim schedule for the real game, unlike the abstract box game.
 
         There a completion is banked forever; here Maker can still kill a
         completed box until the endgame star is played, so lone early
         completions are wasted tempo.  Finish real boxes only two at a
         time (Maker can kill just one before our next turn) or as the last
-        survivor; otherwise keep padded deficits level so that two boxes
-        ripen together, with real items before virtual inside a box.
+        survivor; otherwise keep deficits level so that two boxes ripen
+        together.  Returns the box of each claimed item, in order.
         """
-        state = self.boxes
-        claims: list[tuple[int, str]] = []
-        budget = b
-        while budget > 0:
-            live = state.live_incomplete()
-            if not live:
-                break
-            bearing = sorted(
-                (i for i in live if state.real_deficit(i) > 0),
-                key=lambda i: (state.real_deficit(i), i),
-            )
-            pair_cost = (
-                state.real_deficit(bearing[0]) + state.real_deficit(bearing[1])
-                if len(bearing) >= 2
-                else None
-            )
-            if pair_cost is not None and pair_cost <= budget:
-                for i in bearing[:2]:
-                    for _ in range(state.real_deficit(i)):
-                        claims.append((i, state.claim(i)))
-                        budget -= 1
+        claims: list[int] = []
+        budget = self.config.q
+        while budget > 0 and open_items:
+            finish = sorted(open_items, key=lambda v: (open_items[v], v))[:2]
+            cost = sum(open_items[v] for v in finish)
+            if cost <= budget:
+                for v in finish:
+                    claims += [v] * open_items.pop(v)
+                budget -= cost
                 continue
-            if len(bearing) == 1 and state.real_deficit(bearing[0]) <= budget:
-                i = bearing[0]
-                for _ in range(state.real_deficit(i)):
-                    claims.append((i, state.claim(i)))
-                    budget -= 1
-                continue
-            pool = bearing or live
-            i = max(pool, key=lambda j: (state.deficit(j), -j))
-            claims.append((i, state.claim(i)))
+            v = max(open_items, key=lambda j: (open_items[j], -j))
+            claims.append(v)
+            open_items[v] -= 1
             budget -= 1
         return claims
 
-    def next_move(self, board: Board, transcript):
-        self._sync_claims(board)
-        # Endgame: a complete live box becomes a full out-star; once all
-        # n-1 arcs at u point outward its in-degree is 0 forever.
-        for u in self.side_a:
-            if self.boxes.completed[u] and board.in_degree(u) == 0:
-                arcs = [(u, w) for w in board.undirected_neighbors(u)]
-                if arcs:
-                    return tuple(arcs[: self.config.q])
-        if self.boxes.live_incomplete():
-            claims = self._pipeline_claims(self.b)
-        else:
-            claims = []
-        arcs = []
-        taken = set()
-        for (v, kind) in claims:
-            if kind != "real":
-                continue
-            for w in self.side_b:
-                if (v, w) not in taken and board.is_undirected(v, w):
-                    arcs.append((v, w))
-                    taken.add((v, w))
-                    break
-        if not arcs:
-            # Boxes gone or only virtual claims: burn a pair without
-            # feeding an in-arc to any live box vertex.
-            def live_box(x):
-                return x < self.b and not self.boxes.destroyed[x]
+    def live_boxes(self, board: Board) -> dict[int, int]:
+        """Open items of each live box, by box vertex, ascending."""
+        return {
+            v: (self.side_b & ~board.out_mask(v)).bit_count()
+            for v in range(self.b)
+            if board.in_degree(v) == 0
+        }
 
-            fallback = None
-            for (u, v) in board.undirected_pairs():
-                if not live_box(v):
-                    fallback = (u, v)
-                    break
-                if not live_box(u):
-                    fallback = (v, u)
-                    break
-            arcs = [fallback or board.lowest_undirected()]
-        return tuple(arcs)
+    def next_move(self, board: Board, transcript):
+        boxes = self.live_boxes(board)
+        # Endgame: a complete live box becomes a full out-star; once all
+        # n-1 arcs at v point outward its in-degree is 0 forever.
+        for v, k in boxes.items():
+            if k == 0 and (star := board.undirected_neighbors(v)):
+                return tuple((v, w) for w in star[: self.config.q])
+        claims = self._pipeline_claims({v: k for v, k in boxes.items() if k})
+        # A live box has no B->v arc, so its free items are its free pairs.
+        arcs = []
+        free = {}
+        for v in claims:
+            m = free.get(v, self.side_b & ~board.out_mask(v))
+            arcs.append((v, (m & -m).bit_length() - 1))
+            free[v] = m & (m - 1)
+        if arcs:
+            return tuple(arcs)
+        # Boxes gone or all complete: burn a pair without feeding an
+        # in-arc to any live box vertex.
+        for (u, v) in board.undirected_pairs():
+            if v not in boxes:
+                return ((u, v),)
+            if u not in boxes:
+                return ((v, u),)
+        return (board.lowest_undirected(),)

@@ -84,6 +84,17 @@ def test_play_box_criterion_surfaced(tmp_path, capsys):
     assert "bias" in err  # message names the computed threshold
 
 
+@pytest.mark.parametrize("q", ["5", "6"])
+def test_play_box_bias_above_n(tmp_path, capsys, q):
+    code = run([
+        "play", "--n", "4", "--q", q, "--maker", "maker-random",
+        "--breaker", "breaker-box", "--property", "min-indegree",
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 0
+    assert "winner: breaker" in capsys.readouterr().out
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["sweep", "--n", "8,10", "--bias", "1,2", "--maker", "maker-random",

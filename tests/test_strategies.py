@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board, pair_count
+from orientgames.boxgame import breaker_bias_threshold
 from orientgames.engine import (
     BREAKER,
     MAKER,
@@ -239,24 +240,59 @@ def test_breaker_box_criterion_gate():
 
 
 def test_breaker_box_boxes_die_on_in_arc():
-    cfg = GameConfig(n=12, p=1, q=6, prop=MinInDegreePositive(), seed=0)
-    strat = BreakerBoxHamilton()
-    strat.start(cfg, strategy_rng(cfg, BREAKER))
+    strat = started(BreakerBoxHamilton(), n=12, q=6, prop=MinInDegreePositive())
     board = Board(12)
     board.orient(7, 3)  # arc into box vertex 3
-    strat.observe(board, MAKER, ((7, 3),))
-    assert strat.boxes.destroyed[3]
+    assert strat.live_boxes(board) == {0: 6, 1: 6, 2: 6, 4: 6, 5: 6}
 
 
 def test_breaker_box_claims_count_only_arcs_into_side_b():
-    cfg = GameConfig(n=12, p=1, q=6, prop=MinInDegreePositive(), seed=0)
-    strat = BreakerBoxHamilton()
-    strat.start(cfg, strategy_rng(cfg, BREAKER))  # side A is 0..5, side B 6..11
+    # Side A is 0..5, side B 6..11.  In-arcs from A (1->0, 0->5, 2->3) and
+    # from B (7->4) kill boxes; 2->3 is no claim of box 2, 2->11 is.
+    strat = started(BreakerBoxHamilton(), n=12, q=6, prop=MinInDegreePositive())
     board = Board(12)
     for arc in [(0, 5), (0, 6), (0, 9), (1, 0), (2, 3), (2, 11), (7, 4)]:
         board.orient(*arc)
-    strat._sync_claims(board)
-    assert strat.boxes.claimed_real == [2, 0, 1, 0, 0, 0]
+    assert strat.live_boxes(board) == {1: 6, 2: 5}
+
+
+def _box_board(n, arcs):
+    board = Board(n)
+    for arc in arcs:
+        board.orient(*arc)
+    return board
+
+
+@st.composite
+def box_positions(draw):
+    """A board and a bias the box Breaker accepts, sometimes above n."""
+    board = draw(boards(12, tournament=False))
+    low = breaker_bias_threshold(board.n) if board.n >= 2 else 1
+    return board, draw(st.integers(low, board.n + 2))
+
+
+@example(position=(_box_board(12, [(0, 5), (0, 6), (1, 0), (2, 3), (2, 11), (7, 4)]), 6))
+@given(position=box_positions())
+def test_breaker_box_live_boxes_match_arc_scan(position):
+    board, q = position
+    n = board.n
+    strat = started(BreakerBoxHamilton(), n=n, q=q, prop=MinInDegreePositive())
+    b = min(q, n)
+    expected = {
+        v: sum(board.arc(v, w) == 0 for w in range(b, n))
+        for v in range(b)
+        if all(board.arc(u, v) != 1 for u in range(n) if u != v)
+    }
+    assert strat.live_boxes(board) == expected
+
+
+@pytest.mark.parametrize("q", [5, 6])
+def test_breaker_box_bias_above_n(q):
+    # Side A is all of the board; each vertex is a box with no items.
+    cfg = GameConfig(n=4, p=1, q=q, prop=MinInDegreePositive(), seed=0, early_stop=False)
+    rec = play_game(cfg, RandomStrategy(MAKER), BreakerBoxHamilton())
+    assert rec.forfeit is None and rec.winner == BREAKER
+    assert min(replay(rec).in_degree(v) for v in range(4)) == 0
 
 
 def test_breaker_box_forces_zero_indegree():
@@ -734,8 +770,6 @@ def test_sigma_sampled_branch_plays_legally():
 
 
 def test_breaker_box_threshold_gate_at_n200():
-    from orientgames.boxgame import breaker_bias_threshold
-
     t = breaker_bias_threshold(200)
     cfg_low = GameConfig(n=200, p=1, q=t - 1, prop=MinInDegreePositive(), seed=0)
     with pytest.raises(CriterionUnmet):
