@@ -246,14 +246,9 @@ def test_breaker_box_boxes_die_on_in_arc():
     assert strat.live_boxes(board) == {0: 6, 1: 6, 2: 6, 4: 6, 5: 6}
 
 
-def test_breaker_box_claims_count_only_arcs_into_side_b():
-    # Side A is 0..5, side B 6..11.  In-arcs from A (1->0, 0->5, 2->3) and
-    # from B (7->4) kill boxes; 2->3 is no claim of box 2, 2->11 is.
-    strat = started(BreakerBoxHamilton(), n=12, q=6, prop=MinInDegreePositive())
-    board = Board(12)
-    for arc in [(0, 5), (0, 6), (0, 9), (1, 0), (2, 3), (2, 11), (7, 4)]:
-        board.orient(*arc)
-    assert strat.live_boxes(board) == {1: 6, 2: 5}
+# Side A is 0..5, side B 6..11 at n=12, q=6.  In-arcs from A (1->0, 0->5,
+# 2->3) and from B (7->4) kill boxes; 2->3 is no claim of box 2, 2->11 is.
+BOX_ARCS = [(0, 5), (0, 6), (0, 9), (1, 0), (2, 3), (2, 11), (7, 4)]
 
 
 def _box_board(n, arcs):
@@ -261,6 +256,11 @@ def _box_board(n, arcs):
     for arc in arcs:
         board.orient(*arc)
     return board
+
+
+def test_breaker_box_claims_count_only_arcs_into_side_b():
+    strat = started(BreakerBoxHamilton(), n=12, q=6, prop=MinInDegreePositive())
+    assert strat.live_boxes(_box_board(12, BOX_ARCS)) == {1: 6, 2: 5}
 
 
 @st.composite
@@ -271,7 +271,7 @@ def box_positions(draw):
     return board, draw(st.integers(low, board.n + 2))
 
 
-@example(position=(_box_board(12, [(0, 5), (0, 6), (1, 0), (2, 3), (2, 11), (7, 4)]), 6))
+@example(position=(_box_board(12, BOX_ARCS), 6))
 @given(position=box_positions())
 def test_breaker_box_live_boxes_match_arc_scan(position):
     board, q = position
