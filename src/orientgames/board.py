@@ -8,17 +8,20 @@ is a tournament.
 Pairs are stored in a flat triangular bytearray indexed by (u, v) with
 u < v, one state byte per pair (0 undirected, 1 low-to-high, 2
 high-to-low).  The raw bytes double as the canonical board encoding used
-for solver memoization: a base-3 digit string in pair-index order, which is
-injective and cheap to hash.  Per-vertex out- and in-degree counts and
-out-neighbour bitmasks are kept beside the bytes, updated on every
-orientation, so degree queries are O(1) and graph searches can walk a
-vertex's out-neighbours with bit operations.  A whole move is checked by
+for memo tables keyed on labelled boards: a base-3 digit string in
+pair-index order, which is injective and cheap to hash.  The exact solver
+keys on isomorphism_key instead, the least such string over relabellings,
+which is the same for isomorphic boards.  Per-vertex out- and in-degree
+counts and out-neighbour bitmasks are kept beside the bytes, updated on
+every orientation, so degree queries are O(1) and graph searches can walk
+a vertex's out-neighbours with bit operations.  A whole move is checked by
 the game's rules and written in one pass over its arcs (apply_checked).
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 from .errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
 
@@ -272,6 +275,53 @@ class Board:
         """Injective encoding of the arc states, for memo tables."""
         return bytes(self._st)
 
+    def isomorphism_key(self) -> bytes:
+        """Encoding equal for two boards exactly when they are isomorphic.
+
+        Vertices are coloured by (out, in) degree, and each colour is split
+        by the sorted colours of its out- and in-neighbours until the number
+        of colours stops growing (colour refinement; McKay and Piperno,
+        "Practical graph isomorphism, II", 2014).  The undirected
+        neighbours' colours are all the rest, so they would split nothing
+        further.  Colours are ranked by their signatures, never by labels,
+        so isomorphic boards get the same ordered cells.  The key is the
+        least canonical_key over the relabellings that number the cells in
+        rank order.  It tries the product of the cells' factorials, which
+        is small on the boards the exact solver reaches.
+        """
+        n = self.n
+        outs = [[w for w in range(n) if m >> w & 1] for m in self._outm]
+        ins = [[] for _ in range(n)]
+        # rel[x][y]: the state byte of pair {x, y} once x is numbered below y.
+        rel = [[UNDIRECTED] * n for _ in range(n)]
+        for x in range(n):
+            for y in outs[x]:
+                ins[y].append(x)
+                rel[x][y] = LOW_HIGH
+                rel[y][x] = HIGH_LOW
+        colour = _ranks(list(zip(self._out, self._in)))
+        classes = max(colour) + 1
+        while classes < n:
+            colour = _ranks([
+                (colour[v],
+                 tuple(sorted([colour[w] for w in outs[v]])),
+                 tuple(sorted([colour[w] for w in ins[v]])))
+                for v in range(n)
+            ])
+            if max(colour) + 1 == classes:
+                break
+            classes = max(colour) + 1
+        cells = [[] for _ in range(classes)]
+        for v in range(n):
+            cells[colour[v]].append(v)
+        best = None
+        for parts in itertools.product(*map(itertools.permutations, cells)):
+            order = list(itertools.chain.from_iterable(parts))
+            key = bytes([rel[x][y] for i, x in enumerate(order) for y in order[i + 1:]])
+            if best is None or key < best:
+                best = key
+        return best
+
     def digest(self) -> str:
         h = hashlib.sha256(self.n.to_bytes(4, "big"))
         h.update(self._st)
@@ -344,6 +394,12 @@ class Board:
             except (SelfLoop, OutOfRange, AlreadyOriented) as e:
                 raise ParseError(f"illegal arc {ln!r}: {e}") from None
         return board
+
+
+def _ranks(signatures) -> list[int]:
+    """Each signature's rank among the distinct ones, in sorted order."""
+    rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
+    return [rank[s] for s in signatures]
 
 
 def new_board(n: int) -> Board:

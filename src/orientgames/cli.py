@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import time
 import zlib
 
 from . import boxgame
@@ -242,8 +243,11 @@ def cmd_solve(args) -> int:
         winner = cache["results"][cache_key]["winner"]
         print(f"winner: {winner} (cached)")
         return EXIT_OK
+    t0 = time.perf_counter()
     result = solve_orientation_game(args.n, args.p, args.q, prop)
-    print(f"winner: {result.winner}  nodes: {result.nodes}  memo hits: {result.memo_hits}")
+    rate = result.nodes / max(time.perf_counter() - t0, 1e-9)
+    print(f"winner: {result.winner}  nodes: {result.nodes}  memo hits: {result.memo_hits}"
+          f"  memo size: {result.memo_size}  nodes/s: {rate:.0f}")
     if args.pv:
         for role, move in result.pv:
             arcs = " ".join(f"{u}>{v}" for (u, v) in move)

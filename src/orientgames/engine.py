@@ -30,7 +30,9 @@ from .oracles import (
 MAKER = "maker"
 BREAKER = "breaker"
 
-RECORD_FORMAT = "orientgames-record/1"
+RECORD_FORMAT = "orientgames-record/2"
+# Read as well: /1 records carry no early_stop and were written with the default.
+_OLD_RECORD_FORMAT = "orientgames-record/1"
 
 
 def other(role: str) -> str:
@@ -49,6 +51,12 @@ class Property:
     board already fixes the verdict, ``forced_after`` does the same given
     that the board without the newest arcs fixed nothing, and
     ``solver_max_n`` caps exact solving.
+
+    Every property the exact solver accepts must be invariant under
+    relabelling: ``holds`` and ``forced`` give the same answer on a board
+    and on ``board.relabeled(perm)``.  The solver memoizes positions up to
+    isomorphism (``Board.isomorphism_key``), so one relabelling's value
+    stands for them all.
     """
 
     solver_max_n = 4
@@ -82,7 +90,7 @@ class MonotoneProperty(Property):
 
 @dataclass(frozen=True)
 class Cycle(MonotoneProperty):
-    solver_max_n = 5
+    solver_max_n = 6
 
     def key(self):
         return "cycle"
@@ -324,6 +332,7 @@ class GameRecord:
             "q": self.config.q,
             "property": self.config.prop.key(),
             "seed": self.config.seed,
+            "early_stop": self.config.early_stop,
             "moves": [
                 {"role": role, "arcs": [f"{u}>{v}" for (u, v) in move]}
                 for (role, move) in self.transcript
@@ -346,8 +355,12 @@ class GameRecord:
             raise ParseError(f"record is not JSON: {e}") from None
         if not isinstance(doc, dict):
             raise ParseError("record is not a JSON object")
-        if doc.get("format") != RECORD_FORMAT:
-            raise ParseError(f"unsupported record format {doc.get('format')!r}")
+        fmt = doc.get("format")
+        if fmt not in (RECORD_FORMAT, _OLD_RECORD_FORMAT):
+            raise ParseError(f"unsupported record format {fmt!r}")
+        early_stop = doc.get("early_stop") if fmt == RECORD_FORMAT else True
+        if type(early_stop) is not bool:
+            raise ParseError(f"bad early_stop {early_stop!r}")
         try:
             n, p, q, seed, rounds = (doc[k] for k in ("n", "p", "q", "seed", "rounds"))
             key, moves, winner = doc["property"], doc["moves"], doc["winner"]
@@ -376,7 +389,8 @@ class GameRecord:
         ):
             raise ParseError("digests must be a list of strings")
         return cls(
-            config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed),
+            config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed,
+                              early_stop=early_stop),
             transcript=transcript,
             winner=winner,
             rounds=rounds,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from .board import Board, pair_count
+from .board import Board
 from .engine import (
     BREAKER,
     MAKER,
@@ -35,6 +35,7 @@ class SolveResult:
     nodes: int
     pv: list  # principal variation as (role, move) pairs
     memo_hits: int
+    memo_size: int  # memo entries, one per (board class, mover, budget, opened)
 
 
 def solve_orientation_game(n: int, p: int, q: int, prop,
@@ -48,6 +49,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         raise BudgetExceeded(f"solver capped at bias {SOLVER_MAX_BIAS}")
     board = start_board.copy() if start_board is not None else Board(n)
     memo: dict = {}
+    iso_keys: dict = {}  # raw board -> isomorphism key, for this solve only
     stats = {"nodes": 0, "hits": 0}
 
     def search(mover: str, budget: int, opened: bool, new_arcs=None) -> bool:
@@ -62,7 +64,11 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             verdict = forced_verdict(board, prop, new_arcs)
             if verdict is not None:  # always so on a tournament
                 return verdict
-        key = (board.canonical_key(), mover, min(budget, board.undirected_count), opened)
+        raw = board.canonical_key()
+        iso = iso_keys.get(raw)
+        if iso is None:
+            iso = iso_keys[raw] = board.isomorphism_key()
+        key = (iso, mover, min(budget, board.undirected_count), opened)
         hit = memo.get(key)
         if hit is not None:
             stats["hits"] += 1
@@ -75,59 +81,63 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             if search(nxt, q if nxt == BREAKER else p, False, ()) == want:
                 result = want
         if result != want and budget > 0:
-            done = False
-            for (u, v) in board.undirected_pairs():
-                for arc in ((u, v), (v, u)):
-                    board.orient(*arc)
-                    sub = search(mover, budget - 1, True, (arc,))
-                    board._undo_orient(*arc)
-                    if sub == want:
-                        result = want
-                        done = True
-                        break
-                if done:
+            for arc in _arcs(board):
+                board.orient(*arc)
+                sub = search(mover, budget - 1, True, (arc,))
+                board._undo_orient(*arc)
+                if sub == want:
+                    result = want
                     break
         memo[key] = result
         return result
 
     maker_wins = search(MAKER, p, False)
+    solved = SolveResult(
+        winner=MAKER if maker_wins else BREAKER,
+        nodes=stats["nodes"],
+        pv=[],
+        memo_hits=stats["hits"],
+        memo_size=len(memo),
+    )
 
-    # Principal variation: greedy re-walk along memoized values.
-    pv: list = []
+    # Principal variation: greedy walk along the game values, which the
+    # memo mostly already holds; each step keeps the turn's first arc, in
+    # pair order, that keeps the value.  Its searches are not counted.
+    mover, budget, opened = MAKER, p, False
     turn_arcs: list = []
-
-    def walk(mover: str, budget: int, opened: bool, depth: int):
-        if forced_verdict(board, prop) is not None:
-            return
-        if depth > 2 * pair_count(n) + 64:
-            return
+    played: list = []
+    while forced_verdict(board, prop) is None:
         value = search(mover, budget, opened, ())
         if opened:
             nxt = other(mover)
-            if search(nxt, q if nxt == BREAKER else p, False, ()) == value:
-                pv.append((mover, tuple(turn_arcs)))
+            nxt_budget = q if nxt == BREAKER else p
+            if search(nxt, nxt_budget, False, ()) == value:
+                solved.pv.append((mover, tuple(turn_arcs)))
                 turn_arcs.clear()
-                walk(nxt, q if nxt == BREAKER else p, False, depth + 1)
-                return
-        if budget > 0:
-            for (u, v) in board.undirected_pairs():
-                for arc in ((u, v), (v, u)):
-                    board.orient(*arc)
-                    if search(mover, budget - 1, True, (arc,)) == value:
-                        turn_arcs.append(arc)
-                        walk(mover, budget - 1, True, depth + 1)
-                        return
-                    board._undo_orient(*arc)
-
-    walk(MAKER, p, False, 0)
+                mover, budget, opened = nxt, nxt_budget, False
+                continue
+        for arc in _arcs(board):
+            board.orient(*arc)
+            if search(mover, budget - 1, True, (arc,)) == value:
+                break
+            board._undo_orient(*arc)
+        else:
+            raise AssertionError("no move keeps the game value")
+        turn_arcs.append(arc)
+        played.append(arc)
+        budget, opened = budget - 1, True
     if turn_arcs:
-        pv.append((MAKER if len(pv) % 2 == 0 else BREAKER, tuple(turn_arcs)))
-    return SolveResult(
-        winner=MAKER if maker_wins else BREAKER,
-        nodes=stats["nodes"],
-        pv=pv,
-        memo_hits=stats["hits"],
-    )
+        solved.pv.append((mover, tuple(turn_arcs)))
+    for arc in reversed(played):
+        board._undo_orient(*arc)
+    return solved
+
+
+def _arcs(board: Board):
+    """Both directions of every undirected pair, in the solver's order."""
+    for (u, v) in board.undirected_pairs():
+        yield (u, v)
+        yield (v, u)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def boards(draw, max_n, tournament):
     return b
 
 
+def brute_isomorphism_class(board):
+    """Least sorted arc list over all n! relabellings: equal for two boards
+    exactly when some relabelling carries one onto the other."""
+    arcs = list(board.arcs())
+    return min(
+        tuple(sorted((perm[u], perm[v]) for (u, v) in arcs))
+        for perm in itertools.permutations(range(board.n))
+    )
+
+
 def random_oriented_graph(n, rng, density=0.5):
     """Random partial orientation: each pair oriented with prob density."""
     b = Board(n)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,12 @@ from orientgames.board import Board, all_pairs, new_board, pair_count, pair_inde
 from orientgames.engine import apply_move, validate_move
 from orientgames.errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
 
-from conftest import boards, random_oriented_graph, reference_move_reason
+from conftest import (
+    boards,
+    brute_isomorphism_class,
+    random_oriented_graph,
+    reference_move_reason,
+)
 
 
 def test_new_board_sizes():
@@ -129,6 +136,51 @@ def test_canonical_key_injective_small():
 
     keys = {t.canonical_key() for t in all_tournaments(4)}
     assert len(keys) == 2 ** 6
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_isomorphism_key_same_under_relabeling(data):
+    board = data.draw(boards(6, False))
+    perm = data.draw(st.permutations(range(board.n)))
+    assert board.relabeled(perm).isomorphism_key() == board.isomorphism_key()
+
+
+def assert_keys_split_like_brute_force(boards_):
+    """Two boards share an isomorphism key iff brute force finds them
+    isomorphic; returns the number of classes."""
+    by_key, by_class = {}, {}
+    for b in boards_:
+        by_key.setdefault(b.isomorphism_key(), set()).add(b.canonical_key())
+        by_class.setdefault(brute_isomorphism_class(b), set()).add(b.canonical_key())
+    assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_class.values()))
+    return len(by_key)
+
+
+def test_isomorphism_key_classes_exhaustive_n4():
+    pairs = list(all_pairs(4))
+    everyone = []
+    for states in itertools.product((0, 1, -1), repeat=len(pairs)):
+        b = Board(4)
+        for (u, v), s in zip(pairs, states):
+            if s:
+                b.orient(*((u, v) if s == 1 else (v, u)))
+        everyone.append(b)
+    assert len(everyone) == 729
+    assert assert_keys_split_like_brute_force(everyone) == 42
+
+
+def test_isomorphism_key_classes_sampled_n5(rng):
+    # Sparse boards and their relabellings, so that classes have several
+    # members and keys have chances to collide wrongly.
+    sample = []
+    for _ in range(500):
+        b = random_oriented_graph(5, rng, density=rng.choice([0.2, 0.4, 0.6, 1.0]))
+        perm = list(range(5))
+        rng.shuffle(perm)
+        sample += [b, b.relabeled(perm)]
+    classes = assert_keys_split_like_brute_force(sample)
+    assert 1 < classes < len(sample)
 
 
 def test_text_round_trip(rng):

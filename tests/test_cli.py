@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -150,6 +151,14 @@ def test_solve_command_and_cache(tmp_path, capsys):
                 "--cache", str(cache)])
     assert code == 0
     assert "cached" in capsys.readouterr().out
+
+
+def test_solve_prints_memo_size_and_rate(capsys):
+    assert run(["solve", "--n", "4", "--p", "1", "--q", "2", "--property", "cycle"]) == 0
+    out = capsys.readouterr().out
+    m = re.fullmatch(r"winner: breaker  nodes: 76  memo hits: 21  memo size: 37"
+                     r"  nodes/s: ([0-9]+)\n", out)
+    assert m and int(m.group(1)) > 0, out
 
 
 def test_solve_cache_survives_failed_write(tmp_path, monkeypatch, capsys):

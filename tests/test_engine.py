@@ -361,11 +361,14 @@ def test_from_json_rejects_bad_arc(arcs):
     lambda d: d.update(forfeit=5), lambda d: d.update(forfeit="nobody"),
     lambda d: d.update(forfeit_reason=5), lambda d: d.update(digests="ab"),
     lambda d: d.update(digests=[5]),
+    lambda d: d.pop("early_stop"), lambda d: d.update(early_stop=0),
+    lambda d: d.update(early_stop="false"), lambda d: d.update(early_stop=None),
 ], ids=["truncated", "list", "number", "format-only", "no-winner", "no-moves", "no-role",
         "str-n", "float-p", "null-q", "bool-seed", "str-rounds", "int-property",
         "moves-object", "move-list", "int-winner", "unknown-winner", "str-forced-round",
         "float-forced-round", "int-forfeit", "unknown-forfeit", "int-forfeit-reason",
-        "str-digests", "int-digest"])
+        "str-digests", "int-digest", "no-early-stop", "int-early-stop",
+        "str-early-stop", "null-early-stop"])
 def test_from_json_rejects_malformed_record(text_or_edit):
     if callable(text_or_edit):
         doc = json.loads(record_with_arcs(["0>1"]))
@@ -401,6 +404,22 @@ def test_record_json_round_trip():
     assert back.config.prop == rec.config.prop
     assert replay(back) == replay(rec)
     assert back.to_json() == text
+
+
+@pytest.mark.parametrize("early_stop", [False, True])
+def test_record_json_keeps_early_stop(early_stop):
+    cfg = GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=3, early_stop=early_stop)
+    rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    assert GameRecord.from_json(rec.to_json()).config == cfg
+
+
+def test_from_json_reads_format_1_with_early_stop_on():
+    cfg = GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=3, early_stop=False)
+    doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())
+    doc["format"] = "orientgames-record/1"
+    del doc["early_stop"]
+    back = GameRecord.from_json(json.dumps(doc))
+    assert back.config == GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=3, early_stop=True)
 
 
 def test_same_seed_same_game():

@@ -160,6 +160,26 @@ def test_forced_verdict_matches_reference_chain(tournament, prop, data):
         assert evaluate_property(board, prop) is reference_evaluate(board, prop)
 
 
+# The exact solver memoizes positions up to isomorphism, which is sound only
+# for properties that do not read vertex labels.
+@pytest.mark.parametrize("prop", PROPS, ids=lambda p: p.key())
+@settings(max_examples=150)
+@given(data=st.data())
+def test_verdicts_invariant_under_relabeling(prop, data):
+    board = data.draw(boards(6, data.draw(st.booleans())))
+    other = board.relabeled(data.draw(st.permutations(range(board.n))))
+
+    def outcome(judge, b):
+        # Non-k-colourability is judged on tournaments alone.
+        try:
+            return judge(b)
+        except NotATournament:
+            return NotATournament
+
+    for judge in (prop.holds, prop.forced):
+        assert outcome(judge, other) == outcome(judge, board)
+
+
 # ---------------------------------------------------------------------------
 # Verdicts judged from the newest arcs agree with the verdict from scratch
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_minindeg_equals_cycle_at_n3():
 
 # Each property's solver size cap.
 SOLVER_CAPS = [
-    (Cycle(), 5),
+    (Cycle(), 6),
     (CycleLengthK(3), 5),
     (CycleLengthK(4), 4),
     (ContainsH(PatternGraph.cycle(3)), 5),
@@ -162,6 +162,47 @@ def test_bias_monotonicity_small_boards():
 def test_threshold_scan_values():
     assert threshold_scan(3, Cycle()) == 1
     assert threshold_scan(4, Cycle()) == 2
+
+
+def test_threshold_scan_n6():
+    # Maker wins at q = 1 and 2, Breaker at q = 3: inside the paper's
+    # bracket (n/2 - 2, n - 2] = (1, 4].
+    assert threshold_scan(6, Cycle()) == 3
+
+
+# Every game each property's solver takes up to n = 5, once with the key
+# of the board's isomorphism class and once with its raw bytes.  Cycle at
+# n = 6 is left out: with raw keys it takes minutes.
+@pytest.mark.parametrize("prop, cap", SOLVER_CAPS, ids=repr)
+def test_isomorphism_key_gives_the_raw_key_winners(prop, cap, monkeypatch):
+    games = [(n, 1, q) for n in range(2, min(cap, 5) + 1) for q in (1, 2, 3)]
+    keyed = [solve_orientation_game(*g, prop).winner for g in games]
+    monkeypatch.setattr(Board, "isomorphism_key", Board.canonical_key)
+    assert [solve_orientation_game(*g, prop).winner for g in games] == keyed
+
+
+def test_pv_walk_is_neither_counted_nor_left_on_the_board(monkeypatch):
+    # Every counted node returns a forced verdict, hits the memo, or adds
+    # one memo entry.  The walk starts at the first call after the root's
+    # that names no new arcs, and must leave the working board as it
+    # found it.
+    start = Board(5)
+    start.orient(0, 1)
+    calls = []
+
+    def spy(board, prop, new_arcs=None):
+        verdict = forced_verdict(board, prop, new_arcs)
+        calls.append((board, new_arcs, verdict))
+        return verdict
+
+    monkeypatch.setattr(solver, "forced_verdict", spy)
+    r = solve_orientation_game(5, 1, 2, Cycle(), start_board=start)
+    walk_start = next(i for i, (_, arcs, _) in enumerate(calls) if arcs is None and i > 0)
+    forced = sum(v is not None for (_, _, v) in calls[:walk_start])
+    assert r.nodes == forced + r.memo_hits + r.memo_size
+    assert len(r.pv) > 1
+    board = calls[-1][0]
+    assert board is not start and board == start
 
 
 def test_verifier_matches_solver_side():
@@ -283,25 +324,25 @@ def test_verifier_node_limit(monkeypatch):
         verify_strategy_vs_all(MakerCycle, MAKER, 6, 1, 1, Cycle())
 
 
-# Results captured with adjacency-list oracles and full deep copies of the
-# strategy: cheaper walks and copies must visit the same nodes and return
-# the same lines.
+# Winners and lines captured with adjacency-list oracles, full deep copies
+# of the strategy and a memo keyed on raw boards.  The counts are those of
+# the memo keyed on isomorphism classes, taken before the PV walk.
 SOLVE_PINS = [
-    ((4, 1, 1, Cycle()), MAKER, 349, 66,
+    ((4, 1, 1, Cycle()), MAKER, 101, 26,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((3, 0),)),
       (BREAKER, ((1, 2),)), (MAKER, ((1, 3),))]),
-    ((4, 1, 2, Cycle()), BREAKER, 867, 147,
+    ((4, 1, 2, Cycle()), BREAKER, 76, 21,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
       (BREAKER, ((1, 2),)), (MAKER, ((1, 3),)), (BREAKER, ((2, 3),))]),
-    ((4, 2, 1, Cycle()), MAKER, 344, 60,
+    ((4, 2, 1, Cycle()), MAKER, 88, 23,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
       (BREAKER, ((1, 2),)), (MAKER, ((3, 1), (2, 3)))]),
-    ((4, 1, 1, Hamiltonicity()), BREAKER, 747, 105,
+    ((4, 1, 1, Hamiltonicity()), BREAKER, 53, 18,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),))]),
-    ((5, 1, 2, Cycle()), MAKER, 55687, 20326,
+    ((5, 1, 2, Cycle()), MAKER, 3089, 1326,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((3, 0),)),
       (BREAKER, ((0, 4),)), (MAKER, ((1, 2),)), (BREAKER, ((1, 3),))]),
-    ((5, 1, 1, CycleLengthK(3)), MAKER, 5792, 1824,
+    ((5, 1, 1, CycleLengthK(3)), MAKER, 567, 212,
      [(MAKER, ((0, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((0, 3),)),
       (BREAKER, ((0, 4),)), (MAKER, ((1, 2),)), (BREAKER, ((1, 3),)),
       (MAKER, ((4, 1),)), (BREAKER, ((2, 3),)), (MAKER, ((2, 4),))]),
