@@ -349,7 +349,16 @@ SOLVE_PINS = [
 ]
 
 
-@pytest.mark.parametrize("args, winner, nodes, memo_hits, pv", SOLVE_PINS)
+# The ids keep the names the pins were first filed under; their numbers are
+# the raw-key memo's counts with the PV walk counted.
+SOLVE_PIN_IDS = [
+    "args0-maker-349-66-pv0", "args1-breaker-867-147-pv1", "args2-maker-344-60-pv2",
+    "args3-breaker-747-105-pv3", "args4-maker-55687-20326-pv4",
+    "args5-maker-5792-1824-pv5",
+]
+
+
+@pytest.mark.parametrize("args, winner, nodes, memo_hits, pv", SOLVE_PINS, ids=SOLVE_PIN_IDS)
 def test_solver_results_pinned(args, winner, nodes, memo_hits, pv):
     r = solve_orientation_game(*args)
     assert (r.winner, r.nodes, r.memo_hits, r.pv) == (winner, nodes, memo_hits, pv)
