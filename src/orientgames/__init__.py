@@ -8,9 +8,9 @@ H-creation games, exact property oracles, a box-game module, and an
 exhaustive small-board solver used as ground truth.
 """
 
-from .board import Board, new_board
+from .board import Board
 from .errors import GameError
 
-__all__ = ["Board", "new_board", "GameError"]
+__all__ = ["Board", "GameError"]
 
 __version__ = "0.1.0"

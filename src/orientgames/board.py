@@ -241,24 +241,6 @@ class Board:
         """Out-neighbours of v as a bitmask: bit w is set iff v->w."""
         return self._outm[v]
 
-    def out_set(self, vertices) -> set[int]:
-        """N+(A): vertices outside A receiving an arc from A."""
-        a = set(vertices)
-        return {
-            w
-            for w in range(self.n)
-            if w not in a and any(self.arc(u, w) == 1 for u in a)
-        }
-
-    def in_set(self, vertices) -> set[int]:
-        """N-(A): vertices outside A sending an arc into A."""
-        a = set(vertices)
-        return {
-            w
-            for w in range(self.n)
-            if w not in a and any(self.arc(u, w) == -1 for u in a)
-        }
-
     # -- copying / hashing -------------------------------------------------
 
     def copy(self) -> "Board":
@@ -401,7 +383,3 @@ def _ranks(signatures) -> list[int]:
     rank = {s: i for i, s in enumerate(sorted(set(signatures)))}
     return [rank[s] for s in signatures]
 
-
-def new_board(n: int) -> Board:
-    """Fresh board with all C(n,2) pairs undirected."""
-    return Board(n)

@@ -390,7 +390,7 @@ class GameRecord:
             raise ParseError("digests must be a list of strings")
         return cls(
             config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed,
-                              early_stop=early_stop),
+                              early_stop=early_stop, keep_digests=digests is not None),
             transcript=transcript,
             winner=winner,
             rounds=rounds,
@@ -480,7 +480,9 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
     board = Board(config.n)
     if board.is_tournament():  # n=1: nothing to orient, judge immediately
         winner = MAKER if evaluate_property(board, config.prop) else BREAKER
-        return GameRecord(config=config, transcript=[], winner=winner, rounds=0)
+        digests = [board.digest()] if config.keep_digests else None
+        return GameRecord(config=config, transcript=[], winner=winner, rounds=0,
+                          digests=digests)
     maker.start(config, strategy_rng(config, MAKER))
     breaker.start(config, strategy_rng(config, BREAKER))
     transcript: list = []

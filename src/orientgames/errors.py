@@ -41,14 +41,6 @@ class SizeMismatch(GameError):
     pass
 
 
-class TooLarge(GameError):
-    pass
-
-
-class NotFas1(GameError):
-    pass
-
-
 class CorruptTranscript(GameError):
     pass
 

@@ -8,26 +8,20 @@ functions are pure; none mutate their inputs.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
-from .board import Board, all_pairs
+from .board import Board
 from .errors import (
     BadLength,
     BudgetExceeded,
     InvalidCycle,
     NotATournament,
-    NotFas1,
     ParseError,
-    SizeMismatch,
-    TooLarge,
 )
 
 FAS_EXACT_MAX = 12
 KCOLOR_MAX_N = 15
 KCOLOR_MAX_K = 4
-LONGEST_PATH_MAX = 20
-EXPANDING_EXACT_MAX = 22
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +74,6 @@ class PatternGraph:
     def cycle(cls, k: int) -> "PatternGraph":
         """The directed cycle C_k."""
         return cls(k, frozenset((i, (i + 1) % k) for i in range(k)))
-
-
-def sigma_check(t: int, sigma) -> tuple[int, ...]:
-    """Validate an ordering: sigma[v] is the rank of vertex v, 0-based."""
-    s = tuple(sigma)
-    if len(s) != t or sorted(s) != list(range(t)):
-        raise SizeMismatch(f"not a permutation of 0..{t - 1}: {s}")
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -374,50 +360,8 @@ def extract_ck(board: Board, cycle, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Longest directed path (exact, small boards)
-# ---------------------------------------------------------------------------
-
-
-def longest_path_exact(board: Board) -> list[int]:
-    """A maximum-length directed path, by branch and bound.  n <= 20."""
-    n = board.n
-    if n > LONGEST_PATH_MAX:
-        raise BudgetExceeded(f"longest_path_exact capped at n={LONGEST_PATH_MAX}")
-    masks = [board.out_mask(v) for v in range(n)]
-    best: list[int] = []
-
-    def extend(v, visited, path):
-        nonlocal best
-        if len(path) > len(best):
-            best = list(path)
-        if len(path) + (n - len(path)) <= len(best):
-            return
-        m = masks[v] & ~visited
-        while m:
-            bit = m & -m
-            m ^= bit
-            w = bit.bit_length() - 1
-            path.append(w)
-            extend(w, visited | bit, path)
-            path.pop()
-
-    order = sorted(range(n), key=lambda v: -board.out_degree(v))
-    for v in order:
-        if len(best) == n:
-            break
-        extend(v, 1 << v, [v])
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Feedback arc sets
 # ---------------------------------------------------------------------------
-
-
-def fas_with_ordering(pattern: PatternGraph, sigma) -> int:
-    """Count of arcs going backward under the ordering (rank array)."""
-    s = sigma_check(pattern.t, sigma)
-    return sum(1 for (u, v) in pattern.arcs if s[u] > s[v])
 
 
 def fas_exact(pattern: PatternGraph) -> tuple[int, tuple[int, ...]]:
@@ -429,7 +373,7 @@ def fas_exact(pattern: PatternGraph) -> tuple[int, tuple[int, ...]]:
     """
     t = pattern.t
     if t > FAS_EXACT_MAX:
-        raise TooLarge(f"fas_exact capped at t={FAS_EXACT_MAX}")
+        raise BudgetExceeded(f"fas_exact capped at t={FAS_EXACT_MAX}")
     out_mask = [pattern.out_mask(v) for v in range(t)]
     full = (1 << t) - 1
     dp = [0] * (1 << t)
@@ -460,22 +404,6 @@ def fas_exact(pattern: PatternGraph) -> tuple[int, tuple[int, ...]]:
                 rank -= 1
                 break
     return dp[full], tuple(sigma)
-
-
-def complete_fas1(pattern: PatternGraph) -> PatternGraph:
-    """Complete a FAS-1 oriented graph to a tournament that still has FAS 1.
-
-    Undirected pairs are filled forward along the FAS-1 witness ordering,
-    so the completed tournament has exactly one back-arc under it.
-    """
-    value, sigma = fas_exact(pattern)
-    if value != 1:
-        raise NotFas1(f"FAS is {value}, not 1")
-    arcs = set(pattern.arcs)
-    for (u, v) in all_pairs(pattern.t):
-        if (u, v) not in arcs and (v, u) not in arcs:
-            arcs.add((u, v) if sigma[u] < sigma[v] else (v, u))
-    return PatternGraph(pattern.t, frozenset(arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -583,53 +511,3 @@ def k_colorable(board: Board, k: int):
     if assign(0):
         return [list(p) for p in parts]
     return None
-
-
-# ---------------------------------------------------------------------------
-# Expansion
-# ---------------------------------------------------------------------------
-
-
-def expansion_witness(board: Board, k: int, trials: int | None = None, seed: int = 0):
-    """A witness that the board is not k-expanding, or None.
-
-    k-expanding here: every vertex set A of size up to max(k, n-k) has
-    nonempty N+(A) and N-(A).  For |A| <= k that is the small-set
-    condition; for k <= |A| <= n-k it is exactly "arcs both ways across
-    the split (A, complement)", which is the form the strong-connectivity
-    consequence uses.  (Quantified over literal disjoint set pairs the
-    both-ways condition is unsatisfiable at k=1, where singleton pairs
-    would need arcs in both directions.)
-
-    Exact mode (trials=None, n <= 22) enumerates all the required sets.
-    Sampled mode checks random ones only, so None may be spurious; a
-    returned witness is always genuine.  Witness forms: ("out", A) or
-    ("in", A) for the empty neighborhood.
-    """
-    n = board.n
-    verts = range(n)
-    top = min(n - 1, max(k, n - k))
-    if trials is None:
-        if n > EXPANDING_EXACT_MAX:
-            raise BudgetExceeded(f"exact expansion check capped at n={EXPANDING_EXACT_MAX}")
-        for size in range(1, top + 1):
-            for a in itertools.combinations(verts, size):
-                if not board.out_set(a):
-                    return ("out", a)
-                if not board.in_set(a):
-                    return ("in", a)
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        size = rng.randint(1, max(1, top))
-        a = tuple(sorted(rng.sample(verts, size)))
-        if not board.out_set(a):
-            return ("out", a)
-        if not board.in_set(a):
-            return ("in", a)
-    return None
-
-
-def is_k_expanding(board: Board, k: int, trials: int | None = None, seed: int = 0) -> bool:
-    """Exact when trials is None; one-sided (False is certified) when sampled."""
-    return expansion_witness(board, k, trials=trials, seed=seed) is None

@@ -28,11 +28,6 @@ SIGMA_EXACT_MAX_N = 10
 SIGMA_SAMPLE_SETS = 20_000
 
 
-def sigma_reduction_count(n: int, t: int, r: int) -> int:
-    """Number of winning sets in the reduction hypergraph."""
-    return math.comb(n, t) * math.comb(math.comb(t, 2), r)
-
-
 class BreakerSigmaPotential(Strategy):
     role = BREAKER
 

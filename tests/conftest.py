@@ -112,6 +112,13 @@ def reference_move_reason(board, move, bias):
     return None
 
 
+def back_arcs(pattern, rank):
+    """Pattern arcs that run backward under rank (rank[v] is v's place,
+    0-based), after checking that rank is an ordering of the vertices."""
+    assert sorted(rank) == list(range(pattern.t)), f"not an ordering: {rank}"
+    return sum(1 for (u, v) in pattern.arcs if rank[u] > rank[v])
+
+
 def brute_fas_min(t, arcs):
     """Minimum back-arc count over all t! orderings."""
     best = None
@@ -147,25 +154,6 @@ def brute_hamilton_cycle(board):
     if visit(0, 1):
         return list(path)
     return None
-
-
-def brute_longest_path(board):
-    """Exhaustive DFS over all simple directed paths; returns best length
-    in arcs."""
-    n = board.n
-    adj = [[w for w in range(n) if w != v and board.arc(v, w) == 1] for v in range(n)]
-    best = 0
-
-    def visit(v, visited, length):
-        nonlocal best
-        best = max(best, length)
-        for w in adj[v]:
-            if not (visited >> w) & 1:
-                visit(w, visited | (1 << w), length + 1)
-
-    for v in range(n):
-        visit(v, 1 << v, 0)
-    return best
 
 
 def brute_embedding_exists(board, t, arcs):

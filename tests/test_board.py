@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientgames.board import Board, all_pairs, new_board, pair_count, pair_index
+from orientgames.board import Board, all_pairs, pair_count, pair_index
 from orientgames.engine import apply_move, validate_move
 from orientgames.errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
 
@@ -16,15 +16,15 @@ from conftest import (
 )
 
 
-def test_new_board_sizes():
-    assert new_board(3).undirected_count == 3
-    assert new_board(1).undirected_count == 0
-    assert new_board(5).undirected_count == 10
+def test_fresh_board_sizes():
+    assert Board(3).undirected_count == 3
+    assert Board(1).undirected_count == 0
+    assert Board(5).undirected_count == 10
 
 
-def test_new_board_rejects_zero():
+def test_fresh_board_rejects_zero():
     with pytest.raises(OutOfRange):
-        new_board(0)
+        Board(0)
 
 
 def test_pair_index_is_bijective():
@@ -34,18 +34,18 @@ def test_pair_index_is_bijective():
 
 
 def test_orient_records_direction():
-    b = new_board(3)
+    b = Board(3)
     b.orient(0, 1)
     assert b.arc(0, 1) == 1
     assert b.arc(1, 0) == -1
     assert b.undirected_count == 2
-    b2 = new_board(3)
+    b2 = Board(3)
     b2.orient(1, 0)
     assert b2.arc(0, 1) == -1
 
 
 def test_orient_errors():
-    b = new_board(3)
+    b = Board(3)
     b.orient(0, 1)
     with pytest.raises(AlreadyOriented):
         b.orient(0, 1)
@@ -57,28 +57,8 @@ def test_orient_errors():
         b.orient(0, 3)
 
 
-def test_out_in_sets_on_cyclic_triangle():
-    b = new_board(3)
-    b.orient(0, 1)
-    b.orient(1, 2)
-    b.orient(2, 0)
-    assert b.out_set({0}) == {1}
-    assert b.in_set({0}) == {2}
-    assert b.out_set({0, 1, 2}) == set()
-    assert b.in_set({0, 1, 2}) == set()
-
-
-def test_out_in_sets_on_transitive_triangle():
-    b = new_board(3)
-    b.orient(0, 1)
-    b.orient(0, 2)
-    b.orient(1, 2)
-    assert b.out_set({2}) == set()
-    assert b.in_set({2}) == {0, 1}
-
-
 def test_undirected_pairs_order_and_tournament_flag():
-    b = new_board(3)
+    b = Board(3)
     assert b.undirected_pairs() == [(0, 1), (0, 2), (1, 2)]
     assert not b.is_tournament()
     b.orient(0, 1)
@@ -86,7 +66,7 @@ def test_undirected_pairs_order_and_tournament_flag():
     b.orient(1, 2)
     assert b.undirected_pairs() == []
     assert b.is_tournament()
-    assert new_board(1).is_tournament()
+    assert Board(1).is_tournament()
 
 
 def test_degree_sum_invariant(rng):
@@ -115,7 +95,7 @@ def test_cross_arc_counting_matches(rng):
 
 def test_replay_determinism(rng):
     moves = []
-    b1 = new_board(6)
+    b1 = Board(6)
     while b1.undirected_count:
         pairs = b1.undirected_pairs()
         u, v = pairs[rng.randrange(len(pairs))]
@@ -123,7 +103,7 @@ def test_replay_determinism(rng):
             u, v = v, u
         moves.append((u, v))
         b1.orient(u, v)
-    b2 = new_board(6)
+    b2 = Board(6)
     for (u, v) in moves:
         b2.orient(u, v)
     assert b1 == b2
@@ -192,7 +172,7 @@ def test_text_round_trip(rng):
 
 
 def test_text_format_shape():
-    b = new_board(3)
+    b = Board(3)
     b.orient(2, 1)
     assert b.to_text() == "n=3\n2>1\n"
 

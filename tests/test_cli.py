@@ -74,6 +74,19 @@ def test_play_missing_pattern_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_play_pattern_over_fas_cap_is_budget_exit(tmp_path, capsys):
+    # A 13-vertex pattern is past fas_exact's size cap: a budget, not bad input.
+    path = tmp_path / "p13.tour"
+    path.write_text("n=13\n" + "".join(f"{i}>{i + 1}\n" for i in range(12)))
+    code = run([
+        "play", "--n", "20", "--maker", "maker-random",
+        "--breaker", f"breaker-sigma:{path}", "--property", "cycle",
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 3
+    assert "fas_exact capped" in capsys.readouterr().err
+
+
 def test_play_box_criterion_surfaced(tmp_path, capsys):
     code = run([
         "play", "--n", "30", "--q", "6", "--maker", "maker-random",

@@ -413,6 +413,16 @@ def test_record_json_keeps_early_stop(early_stop):
     assert GameRecord.from_json(rec.to_json()).config == cfg
 
 
+@pytest.mark.parametrize("keep_digests", [False, True])
+@pytest.mark.parametrize("n", [1, 5])
+def test_record_json_keeps_keep_digests(n, keep_digests):
+    cfg = GameConfig(n=n, p=1, q=2, prop=Cycle(), seed=3, keep_digests=keep_digests)
+    rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    back = GameRecord.from_json(rec.to_json())
+    assert back.config == cfg
+    assert replay(back) == replay(rec)
+
+
 def test_from_json_reads_format_1_with_early_stop_on():
     cfg = GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=3, early_stop=False)
     doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())

@@ -30,7 +30,6 @@ from orientgames.oracles import (
     contains_embedding,
     extract_ck,
     fas_exact,
-    fas_with_ordering,
     find_cycle,
     is_directed_cycle,
     k_colorable,
@@ -55,9 +54,8 @@ from orientgames.strategies import (
     potential_blocker_move,
 )
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
-from orientgames.strategies.sigma import sigma_reduction_count
 
-from conftest import boards
+from conftest import back_arcs, boards
 
 # Lexicographically first strongly connected 5-vertex tournament with
 # FAS = 2, frozen from an exhaustive scan (no 4-vertex oriented graph
@@ -530,10 +528,6 @@ def test_nonkcolorable_beats_random_breaker():
 # ---------------------------------------------------------------------------
 
 
-def test_sigma_reduction_count_formula():
-    assert sigma_reduction_count(6, 4, 2) == math.comb(6, 4) * math.comb(6, 2) == 225
-
-
 def test_sigma_refuses_small_fas():
     with pytest.raises(FasTooSmall):
         BreakerSigmaPotential(PatternGraph.cycle(3))
@@ -565,7 +559,7 @@ def test_sigma_plays_forward_and_blocks():
             embedded = PatternGraph(
                 5, frozenset((u, v) for (u, v) in FAS2_PATTERN.arcs)
             )
-            back = fas_with_ordering(embedded, [sorted(ranks).index(r) for r in ranks])
+            back = back_arcs(embedded, [sorted(ranks).index(r) for r in ranks])
             assert back >= 2
     assert blocked == 10
 
