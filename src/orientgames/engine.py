@@ -344,7 +344,7 @@ class GameRecord:
             "forfeit_reason": self.forfeit_reason,
             "digests": self.digests,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "GameRecord":
@@ -429,7 +429,11 @@ class Strategy:
         """Called after every applied move (own and opponent's)."""
 
     def state_key(self):
-        """Hashable digest of private state, for the exhaustive verifier."""
+        """Hashable digest of private state, for the exhaustive verifier.
+
+        The verifier takes the key with the opponent's move pending, before
+        observe() is shown it; the move itself is part of its memo key.
+        """
         return None
 
     def __deepcopy__(self, memo):

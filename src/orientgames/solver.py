@@ -6,7 +6,8 @@ single orientations plus a voluntary end-of-turn (legal once at least one
 arc is down); the opponent never observes mid-turn states, so this is
 value-preserving and lets transpositions collapse.  Monotone properties
 cut whole subtrees via forced verdicts, each judged from the arc the node
-was entered through.
+was entered through.  The strategy verifier expands every opponent turn
+and deep-copies the strategy only on branches where it is about to move.
 """
 
 from __future__ import annotations
@@ -150,6 +151,7 @@ class VerifyResult:
     ok: bool
     counterexample: list | None  # transcript of (role, move) pairs
     nodes: int = 0
+    memo_size: int = 0  # verified (board, strategy state, last move) keys
 
     def __bool__(self):
         return self.ok
@@ -173,12 +175,8 @@ def _opponent_turn_boards(board: Board, bias: int):
                     key = b2.canonical_key()
                     if key not in seen and key not in nxt:
                         nxt[key] = (b2, moves + (arc,))
-        for key, (b2, moves) in nxt.items():
-            if key not in seen:
-                seen[key] = (b2, moves)
+        seen.update(nxt)
         frontier = nxt
-        if not frontier:
-            break
     for key in sorted(seen):
         b2, moves = seen[key]
         yield moves, b2
@@ -191,9 +189,12 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
     The fixed side plays the strategy; the opponent's turns are expanded
     exhaustively (deduplicated by reached board).  Returns ok=True iff the
     strategy achieves its goal on every branch, else a counterexample
-    transcript.  Memoization keys on (board, strategy state, pending
-    opponent move), since strategies may read both their own state and the
-    opponent's last move.
+    transcript.  Memoization keys on (board, strategy state, opponent's
+    last move), since strategies may read both their own state and that
+    move.  The key is taken before the strategy observes the move, so that
+    an opponent board that is forced or already verified costs no copy of
+    the strategy; only a memo miss copies it, shows it the move and asks
+    for its reply.
     """
     config = GameConfig(n=n, p=p, q=q, prop=prop, seed=seed, early_stop=False)
     goal = role == MAKER  # desired property verdict
@@ -203,13 +204,10 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
     stats = {"nodes": 0}
     verified: set = set()
 
-    def fresh_strategy():
-        s = strategy_factory()
-        s.start(config, strategy_rng(config, role))
-        return s
-
-    def strategy_turn(board: Board, strat, transcript):
-        """Returns None if the subtree is fine, else a counterexample."""
+    def strategy_turn(board: Board, strat, transcript, pending=False):
+        """Returns None if the subtree is fine, else a counterexample.  A
+        pending strat has yet to observe the opponent's last move and is
+        shared with sibling branches, so it is copied only on a memo miss."""
         stats["nodes"] += 1
         if stats["nodes"] > VERIFY_NODE_LIMIT:
             raise BudgetExceeded(f"verification exceeded {VERIFY_NODE_LIMIT} nodes")
@@ -217,6 +215,9 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         key = (board.canonical_key(), strat.state_key(), last_move)
         if key in verified:
             return None
+        if pending:
+            strat = copy.deepcopy(strat)
+            strat.observe(board, opp_role, last_move)
         move = strat.next_move(board, transcript)
         b2 = board.copy()
         if b2.apply_checked(move, own_bias) is not None:
@@ -224,35 +225,33 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         move = tuple(move)
         strat.observe(b2, role, move)
         transcript.append((role, move))
-        bad = after_move(b2, strat, transcript)
+        # The board before this move forced nothing, or play would have
+        # stopped there (the root is judged below).
+        v = forced_verdict(b2, prop, move)
+        if v is None:
+            bad = opponent_turn(b2, strat, transcript)
+        else:
+            bad = None if v == goal else list(transcript)
         transcript.pop()
         if bad is None:
             verified.add(key)
         return bad
 
-    def after_move(board: Board, strat, transcript):
-        # The board before this move forced nothing, or play would have
-        # stopped there (the root is judged below).
-        mover, move = transcript[-1]
-        v = forced_verdict(board, prop, move)
-        if v is not None:
-            return None if v == goal else list(transcript)
-        if other(mover) == role:
-            return strategy_turn(board, strat, transcript)
-        return opponent_turn(board, strat, transcript)
-
     def opponent_turn(board: Board, strat, transcript):
         for moves, b2 in _opponent_turn_boards(board, opp_bias):
-            s2 = copy.deepcopy(strat)
-            s2.observe(b2, opp_role, moves)
             transcript.append((opp_role, moves))
-            bad = after_move(b2, s2, transcript)
+            v = forced_verdict(b2, prop, moves)
+            if v is None:
+                bad = strategy_turn(b2, strat, transcript, pending=True)
+            else:
+                bad = None if v == goal else list(transcript)
             transcript.pop()
             if bad is not None:
                 return bad
         return None
 
-    strat = fresh_strategy()
+    strat = strategy_factory()
+    strat.start(config, strategy_rng(config, role))
     board = Board(n)
     v = forced_verdict(board, prop)
     if v is not None:  # decided before anyone moves, e.g. n = 1
@@ -261,7 +260,8 @@ def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, 
         bad = strategy_turn(board, strat, [])
     else:
         bad = opponent_turn(board, strat, [])
-    return VerifyResult(ok=bad is None, counterexample=bad, nodes=stats["nodes"])
+    return VerifyResult(ok=bad is None, counterexample=bad, nodes=stats["nodes"],
+                        memo_size=len(verified))
 
 
 # ---------------------------------------------------------------------------

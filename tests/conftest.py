@@ -8,6 +8,7 @@ compute an expected value that a test then asserts against package code.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
+from orientgames.engine import BREAKER, MAKER, GameConfig, forced_verdict, strategy_rng
 
 # Property tests draw the same examples on every run, so a Tier-1 result
 # never depends on which examples a run happened to try; no deadline,
@@ -117,6 +119,82 @@ def back_arcs(pattern, rank):
     0-based), after checking that rank is an ordering of the vertices."""
     assert sorted(rank) == list(range(pattern.t)), f"not an ordering: {rank}"
     return sum(1 for (u, v) in pattern.arcs if rank[u] > rank[v])
+
+
+def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
+    """(ok, nodes, counterexample) of the strategy verifier as first
+    written: every opponent board gets its own deep copy of the strategy,
+    which observes the move before the verdict is judged and before the
+    memo key (board, strategy state, last move) is taken."""
+    config = GameConfig(n=n, p=p, q=q, prop=prop, seed=seed, early_stop=False)
+    goal = role == MAKER
+    opp_role = BREAKER if role == MAKER else MAKER
+    own_bias, opp_bias = (p, q) if role == MAKER else (q, p)
+    nodes = [0]
+    verified = set()
+
+    def opponent_boards(board):
+        # Breadth first over 1..opp_bias single arcs; the first move, in
+        # key then pair order, to reach a board stands for it.
+        seen, frontier = {}, {board.canonical_key(): (board, ())}
+        for _ in range(min(opp_bias, board.undirected_count)):
+            nxt = {}
+            for _, (b, moves) in sorted(frontier.items()):
+                for (u, v) in b.undirected_pairs():
+                    for arc in ((u, v), (v, u)):
+                        b2 = b.copy()
+                        b2.orient(*arc)
+                        key = b2.canonical_key()
+                        if key not in seen and key not in nxt:
+                            nxt[key] = (b2, moves + (arc,))
+            seen.update(nxt)
+            frontier = nxt
+        return [(seen[key][1], seen[key][0]) for key in sorted(seen)]
+
+    def strategy_turn(board, strat, transcript):
+        nodes[0] += 1
+        last_move = transcript[-1][1] if transcript else ()
+        key = (board.canonical_key(), strat.state_key(), last_move)
+        if key in verified:
+            return None
+        move = strat.next_move(board, transcript)
+        b2 = board.copy()
+        if b2.apply_checked(move, own_bias) is not None:
+            return transcript + [(role, move)]
+        move = tuple(move)
+        strat.observe(b2, role, move)
+        bad = after_move(b2, strat, transcript + [(role, move)])
+        if bad is None:
+            verified.add(key)
+        return bad
+
+    def after_move(board, strat, transcript):
+        mover, move = transcript[-1]
+        v = forced_verdict(board, prop, move)
+        if v is not None:
+            return None if v == goal else transcript
+        if mover == opp_role:
+            return strategy_turn(board, strat, transcript)
+        return opponent_turn(board, strat, transcript)
+
+    def opponent_turn(board, strat, transcript):
+        for moves, b2 in opponent_boards(board):
+            s2 = copy.deepcopy(strat)
+            s2.observe(b2, opp_role, moves)
+            bad = after_move(b2, s2, transcript + [(opp_role, moves)])
+            if bad is not None:
+                return bad
+        return None
+
+    strat = strategy_factory()
+    strat.start(config, strategy_rng(config, role))
+    board = Board(n)
+    v = forced_verdict(board, prop)
+    if v is not None:
+        return v == goal, 0, None if v == goal else []
+    turn = strategy_turn if role == MAKER else opponent_turn
+    bad = turn(board, strat, [])
+    return bad is None, nodes[0], bad
 
 
 def brute_fas_min(t, arcs):

@@ -398,6 +398,7 @@ def test_record_json_round_trip():
     cfg = GameConfig(n=4, p=1, q=2, prop=CycleLengthK(3), seed=9, keep_digests=True)
     rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
     text = rec.to_json()
+    assert text.count("\n") == 1  # one compact line: the C encoder's form
     back = GameRecord.from_json(text)
     assert back.winner == rec.winner
     assert back.transcript == rec.transcript

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -32,6 +33,8 @@ from orientgames.strategies import (
     MakerCycle,
     RandomStrategy,
 )
+
+from conftest import reference_verify
 
 ALL_N3_PROPS = [
     Cycle(),
@@ -396,3 +399,81 @@ VERIFY_PINS = [
 def test_verifier_results_pinned(factory, args, seed, ok, nodes, counterexample):
     r = verify_strategy_vs_all(factory, *args, seed=seed)
     assert (r.ok, r.nodes, r.counterexample) == (ok, nodes, counterexample)
+
+
+@pytest.mark.parametrize("factory, args, seed", [pin[:3] for pin in VERIFY_PINS])
+def test_verifier_matches_reference(factory, args, seed):
+    # No strategy here changes its state key in observe(), so the key taken
+    # with the opponent's move pending is the one taken after it: the whole
+    # result, node count included, is the reference's.
+    r = verify_strategy_vs_all(factory, *args, seed=seed)
+    assert (r.ok, r.nodes, r.counterexample) == reference_verify(factory, *args, seed=seed)
+
+
+def _noting_last_arc(cls):
+    """cls, also keying on the opponent's last arc, which observe() sets."""
+    class Noting(cls):
+        def start(self, config, rng):
+            super().start(config, rng)
+            self.last = None
+
+        def observe(self, board, role, move):
+            super().observe(board, role, move)
+            if role != self.role:
+                self.last = move[-1]
+
+        def state_key(self):
+            return (super().state_key(), self.last)
+    return Noting
+
+
+# Here the key taken before observe() is finer than the one taken after, so
+# node counts part (the out-star at n=5, q=3 takes 1,700 nodes against the
+# reference's 620), but every verdict and counterexample must agree.
+@pytest.mark.parametrize("factory, args", [
+    (_noting_last_arc(MakerCycle), (MAKER, 6, 1, 1, Cycle())),
+    (_noting_last_arc(MakerCycle), (MAKER, 4, 1, 2, Cycle())),
+    (_noting_last_arc(BreakerOutStar), (BREAKER, 5, 1, 3, Cycle())),
+    (_noting_last_arc(BreakerBoxHamilton), (BREAKER, 5, 1, 3, MinInDegreePositive())),
+], ids=["maker-cycle-6-1-1", "maker-cycle-4-1-2", "outstar-5-1-3", "box-5-1-3"])
+def test_verifier_matches_reference_when_observe_moves_the_key(factory, args):
+    r = verify_strategy_vs_all(factory, *args)
+    ok, _, counterexample = reference_verify(factory, *args)
+    assert (r.ok, r.counterexample) == (ok, counterexample)
+
+
+# The strategy is copied only where it is about to move: every next_move
+# call but Maker's first, at the root, runs on a fresh copy, and no forced
+# opponent board and no verified one makes a copy.
+@pytest.mark.parametrize("cls, args, copies", [
+    (MakerCycle, (MAKER, 6, 1, 1, Cycle()), 1123),
+    (BreakerOutStar, (BREAKER, 6, 1, 4, Cycle()), 1230),
+], ids=["maker-cycle-6-1-1", "outstar-6-1-4"])
+def test_verifier_copies_only_a_strategy_about_to_move(monkeypatch, cls, args, copies):
+    counts = {"copies": 0, "moves": 0}
+    shim = type(copy)("copy")
+
+    def counting_deepcopy(x, memo=None):
+        counts["copies"] += 1
+        return copy.deepcopy(x, memo)
+
+    shim.deepcopy = counting_deepcopy
+    monkeypatch.setattr(solver, "copy", shim)
+
+    class Counted(cls):
+        def next_move(self, board, transcript):
+            counts["moves"] += 1
+            return super().next_move(board, transcript)
+
+    assert verify_strategy_vs_all(Counted, *args).ok
+    root_moves = 1 if args[0] == MAKER else 0
+    assert counts == {"copies": copies, "moves": copies + root_moves}
+
+
+@pytest.mark.parametrize("factory, args, memo_size", [
+    (MakerCycle, (MAKER, 6, 1, 1, Cycle()), 1124),
+    (BreakerOutStar, (BREAKER, 6, 1, 4, Cycle()), 1230),
+], ids=["maker-cycle-6-1-1", "outstar-6-1-4"])
+def test_verifier_memo_size_pinned(factory, args, memo_size):
+    r = verify_strategy_vs_all(factory, *args)
+    assert r.memo_size == memo_size
