@@ -872,3 +872,24 @@ def test_box_records_pinned(maker, n, q, prop, early_stop, expected):
     }[maker]
     got = _records_hash(make_maker, n, q, prop, BreakerBoxHamilton, early_stop=early_stop)
     assert got == expected
+
+
+# The sigma Breaker's potential play, captured while its scores were still
+# Fractions: n=8 scores the exact set family, n=12 the seeded sample.
+PINNED_SIGMA_RECORDS = [
+    ("random", 8, 3, "6eb0314971e7a11f"),
+    ("greedy-embedding", 8, 3, "c025dff61d614bf3"),
+    ("random", 12, 8, "2d17f7387dbcd51a"),
+    ("greedy-embedding", 12, 8, "0ccfbe823300e58f"),
+]
+
+
+@pytest.mark.parametrize("maker,n,q,expected", PINNED_SIGMA_RECORDS)
+def test_sigma_records_pinned(maker, n, q, expected):
+    make_maker = {
+        "random": lambda: RandomStrategy(MAKER),
+        "greedy-embedding": lambda: MakerGreedyEmbedding(FAS2_PATTERN),
+    }[maker]
+    got = _records_hash(make_maker, n, q, ContainsH(FAS2_PATTERN),
+                        lambda: BreakerSigmaPotential(FAS2_PATTERN))
+    assert got == expected
