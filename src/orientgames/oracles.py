@@ -37,6 +37,8 @@ class PatternGraph:
     arcs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
     def __post_init__(self):
+        if self.t < 1:
+            raise ParseError(f"need t >= 1, got {self.t}")
         object.__setattr__(self, "arcs", frozenset(self.arcs))
         for (u, v) in self.arcs:
             if u == v:

@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 
-def build_strategy(spec: str, pattern_loader=None):
+def build_strategy(spec: str):
     """Construct a strategy from its command-line id."""
     name, _, arg = spec.partition(":")
     if name == "maker-cycle":
@@ -86,9 +86,7 @@ def build_strategy(spec: str, pattern_loader=None):
     if name == "breaker-sigma":
         if not arg:
             raise UnknownStrategy("breaker-sigma needs a pattern file: breaker-sigma:<file>")
-        if pattern_loader is None:
-            pattern_loader = _load_pattern_file
-        return BreakerSigmaPotential(pattern_loader(arg))
+        return BreakerSigmaPotential(_load_pattern_file(arg))
     if name == "breaker-random":
         return RandomStrategy(BREAKER)
     if name == "breaker-greedy-star":

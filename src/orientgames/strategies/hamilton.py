@@ -277,8 +277,7 @@ class TemplateCutEngine:
             raise CriterionUnmet(f"{len(sets)} cuts is beyond exact mode")
         elements = [(u, v) for u in range(n) for v in range(n) if self.tstar[u, v]]
         self.state = HypergraphState(
-            sets, threat_bias=self.threat_bias, blocker_bias=1,
-            elements=elements, use_floats=True,
+            sets, threat_bias=self.threat_bias, blocker_bias=1, elements=elements,
         )
         for u in range(n):
             for v in range(n):
@@ -336,16 +335,7 @@ class TemplateCutEngine:
     def choose(self):
         """Best template-agreeing arc (u, v) to orient, or None."""
         if self.exact:
-            free = self.state.free_elements()
-            if not free:
-                return None
-            best = None
-            best_score = None
-            for e in free:
-                score = self.state.removal_score(e)
-                if best is None or score > best_score:
-                    best, best_score = e, score
-            return best
+            return self.state.best_free()
         if len(self.alive) == 0 or not self.alive.any():
             return None
         live = np.flatnonzero(self.alive)

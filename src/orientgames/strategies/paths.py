@@ -22,17 +22,15 @@ class MakerCycle(Strategy):
 
     role = MAKER
 
-    def __init__(self, cycle_length: int | None = None, debug_checks: bool = False):
+    def __init__(self, cycle_length: int | None = None):
         # cycle_length=None plays the plain cycle game; k >= 3 restricts
         # closing to lengths k + (k-2)r.
         self.k = cycle_length
-        self.debug_checks = debug_checks
 
     def start(self, config, rng):
         super().start(config, rng)
         self.path: list[int] = []
         self.closed: list[int] | None = None
-        self.rounds = 0
 
     def state_key(self):
         return (tuple(self.path), tuple(self.closed) if self.closed else None)
@@ -74,7 +72,6 @@ class MakerCycle(Strategy):
                     break
 
     def next_move(self, board: Board, transcript):
-        self.rounds += 1
         if self.closed is not None:
             return (self._filler(board),)
         if not self.path:
@@ -103,13 +100,8 @@ class MakerCycle(Strategy):
                     f"outside vertex {v} fully decided against path {path}"
                 )
             k = max(ks)
-            if self.debug_checks and k < r - 1:
-                assert board.arc(v, path[k + 1]) == 1
-            move = ((path[k], v),)
             self.path = path[: k + 1] + [v] + path[k + 1 :]
-            if self.debug_checks:
-                assert len(self.path) - 1 >= self.rounds
-            return move
+            return ((path[k], v),)
         # Path spans every vertex and no back-pair qualifies: mark time.
         return (self._filler(board),)
 
@@ -123,10 +115,10 @@ class MakerCycle(Strategy):
 class MakerCk(MakerCycle):
     """Cycle Maker restricted to closing lengths k + (k-2)r."""
 
-    def __init__(self, k: int, debug_checks: bool = False):
+    def __init__(self, k: int):
         if k < 3:
             raise ValueError("cycle target must be >= 3")
-        super().__init__(cycle_length=k, debug_checks=debug_checks)
+        super().__init__(cycle_length=k)
 
 
 class BreakerOutStar(Strategy):

@@ -9,6 +9,10 @@ then the blocker can keep every winning set from being completed by always
 claiming the element whose removal kills the most potential.  A set's live
 potential is (q+1) to the power -(its unclaimed-by-threat remainder)/p; a
 set containing any blocker-claimed element is dead and contributes 0.
+
+At threat bias 1 the scores are exact integers: every potential is
+scaled by one common power of q+1, which changes no comparison.  Above
+it they are floats.
 """
 
 from __future__ import annotations
@@ -28,19 +32,18 @@ class HypergraphState:
 
     Elements may be any sortable hashable ids.  Potentials are always
     recomputed from the per-set remaining counts, so incremental state and
-    a from-scratch recount can never drift apart; with threat bias 1 they
-    are exact rationals.
+    a from-scratch recount can never drift apart.  Scores are kept in
+    weight units: with threat bias 1 every potential is scaled by
+    (blocker_bias+1)^top, top the largest set size at construction, which
+    makes each weight an exact integer and leaves every comparison as it
+    was.
     """
 
-    def __init__(self, sets, threat_bias: int = 1, blocker_bias: int = 1, elements=None,
-                 use_floats: bool = False):
+    def __init__(self, sets, threat_bias: int = 1, blocker_bias: int = 1, elements=None):
         if threat_bias < 1 or blocker_bias < 1:
             raise ValueError("both biases must be >= 1")
         self.threat_bias = threat_bias
         self.blocker_bias = blocker_bias
-        # Rational potentials need threat bias 1; floats can be forced for
-        # speed on big set families (sums of dyadic terms stay exact there).
-        self.use_fractions = threat_bias == 1 and not use_floats
         self.sets = [frozenset(s) for s in sets]
         universe = set()
         for s in self.sets:
@@ -54,6 +57,7 @@ class HypergraphState:
             for e in s:
                 self.member_of[e].append(i)
         self.remaining = [len(s) for s in self.sets]
+        self.top = max(self.remaining, default=0)
         self.dead = [False] * len(self.sets)
         self.threat_completed = False
 
@@ -94,22 +98,41 @@ class HypergraphState:
 
     # -- potentials ----------------------------------------------------------
 
-    def potential(self, i: int):
+    def weight(self, i: int):
+        """Set i's live potential in weight units; 0 once it is dead."""
         if self.dead[i]:
-            return Fraction(0) if self.use_fractions else 0.0
+            return 0
         base = self.blocker_bias + 1
-        if self.use_fractions:
-            return Fraction(1, base ** self.remaining[i])
+        if self.threat_bias == 1:
+            return base ** (self.top - self.remaining[i])
         return base ** (-self.remaining[i] / self.threat_bias)
 
+    def _unscaled(self, w):
+        """A weight as a potential: an exact Fraction at threat bias 1."""
+        if self.threat_bias == 1:
+            return Fraction(w, (self.blocker_bias + 1) ** self.top)
+        return w
+
+    def potential(self, i: int):
+        return self._unscaled(self.weight(i))
+
     def total_potential(self):
-        start = Fraction(0) if self.use_fractions else 0.0
-        return sum((self.potential(i) for i in range(len(self.sets))), start)
+        return self._unscaled(sum(self.weight(i) for i in range(len(self.sets))))
 
     def removal_score(self, e):
-        """Total potential of live sets killed by a blocker claim of e."""
-        start = Fraction(0) if self.use_fractions else 0.0
-        return sum((self.potential(i) for i in self.member_of[e] if not self.dead[i]), start)
+        """Weight of the live sets a blocker claim of e would kill."""
+        return sum(self.weight(i) for i in self.member_of[e] if not self.dead[i])
+
+    def best_free(self):
+        """The free element of largest removal score, lowest id on ties;
+        None when nothing is free."""
+        best, best_score = None, -1
+        for e in self.elements:
+            if self.status[e] == FREE:
+                score = self.removal_score(e)
+                if score > best_score:
+                    best, best_score = e, score
+        return best
 
 
 def es_condition(sets, p: int = 1, q: int = 1) -> bool:
@@ -157,33 +180,16 @@ def es_condition_log_families(log_families, p: int = 1, q: int = 1) -> bool:
 def potential_blocker_move(state: HypergraphState, budget: int) -> list:
     """Claim up to budget elements greedily by removed potential.
 
-    Each pick maximizes the total potential of live sets containing the
-    element, recomputed between picks; ties break to the lowest element
-    id.  Marks are updated in place; returns the claimed elements.
+    Each pick is the state's best_free(), rescored between picks.  Marks
+    are updated in place; returns the claimed elements.
     """
-    if not state.free_elements():
+    if FREE not in state.status.values():
         raise NoFreeElements("blocker has nothing to claim")
     claimed = []
     for _ in range(budget):
-        free = state.free_elements()
-        if not free:
+        best = state.best_free()
+        if best is None:
             break
-        best = max(free, key=lambda e: (state.removal_score(e), _neg(e)))
         state.claim_blocker(best)
         claimed.append(best)
     return claimed
-
-
-class _neg:
-    """Reverses ordering so max() breaks score ties toward the lowest id."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e):
-        self.e = e
-
-    def __lt__(self, o):
-        return self.e > o.e
-
-    def __eq__(self, o):
-        return self.e == o.e

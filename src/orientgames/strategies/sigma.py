@@ -1,12 +1,12 @@
 """Breaker's ordering strategy against pattern creation.
 
-Breaker fixes an ordering of the board vertices and only ever orients
-pairs forward under it, so his own arcs stay acyclic and any copy of the
-target pattern H must take all of its feedback arcs (at least r = FAS(H)
-of them) from Maker's backward orientations.  Pair selection is potential
-play over the reduction hypergraph: one winning set per (t-subset S,
-r-subset of pair-slots inside S), where a slot is Breaker's once oriented
-forward and threatened once oriented backward.
+Breaker only ever orients pairs forward under the vertex order, low to
+high (the ordering sigma is the identity), so his own arcs stay acyclic
+and any copy of the target pattern H must take all of its feedback arcs
+(at least r = FAS(H) of them) from Maker's backward orientations.  Pair
+selection is potential play over the reduction hypergraph: one winning
+set per (t-subset S, r-subset of pair-slots inside S), where a slot is
+Breaker's once oriented forward and threatened once oriented backward.
 
 Worth blocking only when r >= 2: at r <= 1 the criterion cannot hold at
 any polynomial bias, so construction is refused.
@@ -31,9 +31,8 @@ SIGMA_SAMPLE_SETS = 20_000
 class BreakerSigmaPotential(Strategy):
     role = BREAKER
 
-    def __init__(self, pattern: PatternGraph, sigma=None):
+    def __init__(self, pattern: PatternGraph):
         self.pattern = pattern
-        self.sigma = sigma  # rank array over board vertices; identity if None
         value, _ = fas_exact(pattern)
         if value <= 1:
             raise FasTooSmall(f"FAS(H)={value}; ordering play needs >= 2")
@@ -42,7 +41,6 @@ class BreakerSigmaPotential(Strategy):
     def start(self, config, rng):
         super().start(config, rng)
         n = config.n
-        self.rank = list(self.sigma) if self.sigma is not None else list(range(n))
         t, r = self.pattern.t, self.r
         pair_pool = list(itertools.combinations(range(n), 2))
         if n <= SIGMA_EXACT_MAX_N:
@@ -66,22 +64,19 @@ class BreakerSigmaPotential(Strategy):
             sets, threat_bias=1, blocker_bias=config.q, elements=pair_pool
         )
 
-    def _forward(self, u: int, v: int):
-        return (u, v) if self.rank[u] < self.rank[v] else (v, u)
-
     def observe(self, board, role, move):
         for (u, v) in move:
             slot = (min(u, v), max(u, v))
             if self.state.status[slot] != FREE:
                 continue
-            if self.rank[u] < self.rank[v]:
+            if u < v:
                 self.state.claim_blocker(slot)
             else:
                 self.state.claim_threat(slot)
 
     def next_move(self, board: Board, transcript):
         # Free hypergraph elements are exactly the undirected board pairs,
-        # so greedy potential claims translate directly into orientations.
+        # each a (low, high) slot, so every claim is a forward arc.
         budget = min(self.config.q, board.undirected_count)
         try:
             slots = potential_blocker_move(self.state, budget)
@@ -89,7 +84,7 @@ class BreakerSigmaPotential(Strategy):
             slots = []
         if not slots:
             slots = board.undirected_pairs()[:1]
-        return tuple(self._forward(u, v) for (u, v) in slots)
+        return tuple(slots)
 
 
 class MakerGreedyEmbedding(Strategy):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -119,6 +120,47 @@ def back_arcs(pattern, rank):
     0-based), after checking that rank is an ordering of the vertices."""
     assert sorted(rank) == list(range(pattern.t)), f"not an ordering: {rank}"
     return sum(1 for (u, v) in pattern.arcs if rank[u] > rank[v])
+
+
+class ReferencePotentials:
+    """HypergraphState's scoring as first written: Fractions at threat bias
+    1, floats above it, every potential recounted from the claim sets, and
+    the blocker's pick a max() over (removal score, reversed id)."""
+
+    def __init__(self, sets, threat_bias, blocker_bias, elements):
+        self.sets = [frozenset(s) for s in sets]
+        self.p, self.base = threat_bias, blocker_bias + 1
+        self.elements = sorted(set(elements).union(*self.sets))
+        self.threat, self.blocker = set(), set()
+
+    def potential(self, i):
+        s = self.sets[i]
+        exact = self.p == 1
+        if s & self.blocker:
+            return Fraction(0) if exact else 0.0
+        left = len(s - self.threat)
+        return Fraction(1, self.base ** left) if exact else self.base ** (-left / self.p)
+
+    def total_potential(self):
+        return sum((self.potential(i) for i in range(len(self.sets))),
+                   Fraction(0) if self.p == 1 else 0.0)
+
+    def removal_score(self, e):
+        return sum((self.potential(i) for i, s in enumerate(self.sets)
+                    if e in s and not s & self.blocker),
+                   Fraction(0) if self.p == 1 else 0.0)
+
+    def blocker_move(self, budget):
+        """Up to budget greedy claims; elements must be numbers."""
+        claimed = []
+        for _ in range(budget):
+            free = [e for e in self.elements if e not in self.threat | self.blocker]
+            if not free:
+                break
+            best = max(free, key=lambda e: (self.removal_score(e), -e))
+            self.blocker.add(best)
+            claimed.append(best)
+        return claimed
 
 
 def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):

@@ -47,7 +47,7 @@ def test_play_random_verdict_matches_replay(tmp_path):
     assert (rec.winner == MAKER) == evaluate_property(board, rec.config.prop)
 
 
-@pytest.mark.parametrize("key", ["ck:2", "ck:x", "nonkcol:0"])
+@pytest.mark.parametrize("key", ["ck:2", "ck:x", "nonkcol:0", "contains:0:"])
 def test_play_rejects_bad_property_parameter(key, capsys):
     # ck:2 used to play on and hand Maker a "win" from the first arc.
     args = ["play", "--n", "5", "--maker", "maker-random", "--breaker",

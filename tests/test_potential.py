@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.errors import NoFreeElements
 from orientgames.strategies import (
@@ -13,6 +15,8 @@ from orientgames.strategies import (
     potential_blocker_move,
 )
 from orientgames.strategies.potential import es_condition_log_families
+
+from conftest import ReferencePotentials
 
 
 def test_es_condition_arithmetic():
@@ -177,3 +181,31 @@ def test_deepcopy_shares_only_the_set_family():
     assert (state.status, state.remaining, state.dead) == before
     state.claim_threat(4)
     assert clone.status[4] == 0 and clone.remaining[2] == 3
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_scores_and_picks_match_reference(data):
+    # Integer weights at threat bias 1 and floats above it must pick what
+    # the Fraction/float scorer picked, and report the same potentials.
+    n_el = data.draw(st.integers(1, 10), label="elements")
+    sets = data.draw(st.lists(st.frozensets(st.integers(0, n_el - 1), min_size=1),
+                              min_size=1, max_size=8), label="sets")
+    p = data.draw(st.integers(1, 3), label="threat bias")
+    q = data.draw(st.integers(1, 6), label="blocker bias")
+    state = HypergraphState(sets, p, q, elements=range(n_el))
+    ref = ReferencePotentials(sets, p, q, range(n_el))
+    while True:
+        assert [state.potential(i) for i in range(len(sets))] == [
+            ref.potential(i) for i in range(len(sets))]
+        assert state.total_potential() == ref.total_potential()
+        free = state.free_elements()
+        if not free:
+            break
+        if data.draw(st.booleans(), label="threat claims"):
+            e = data.draw(st.sampled_from(free), label="threat claim")
+            state.claim_threat(e)
+            ref.threat.add(e)
+        else:
+            budget = data.draw(st.integers(1, q), label="budget")
+            assert potential_blocker_move(state, budget) == ref.blocker_move(budget)

@@ -260,7 +260,7 @@ def test_bad_property_parameters_raise_bad_config(make):
 @pytest.mark.parametrize("key", [
     "ck:2", "ck:1", "ck:x", "ck:", "nonkcol:0", "nonkcol:two",
     "contains:x:0>1", "contains:3", "contains:3:0-1", "contains:3:0>x", "contains:2:0>5",
-    "bogus",
+    "contains:-2:", "contains:0:", "bogus",
 ])
 def test_bad_property_keys_raise_parse_error(key):
     with pytest.raises(ParseError):

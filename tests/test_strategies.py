@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 
@@ -157,11 +158,39 @@ def test_maker_ck_wins_and_certifies(rng):
 
 
 def test_maker_cycle_path_tracks_rounds():
-    for seed in range(5):
-        cfg = GameConfig(n=10, p=1, q=1, prop=Cycle(), seed=seed, early_stop=False)
-        maker = MakerCycle(debug_checks=True)
-        rec = play_game(cfg, maker, RandomStrategy(BREAKER))
-        assert rec.winner == MAKER
+    # After each Maker move the path is a directed path on the board, and
+    # until a cycle closes it has gained at least one arc per Maker move.
+    # The out-star Breaker never lets a cycle close, so the path grows to
+    # span the board.
+    setups = [(1, lambda: RandomStrategy(BREAKER)), (8, BreakerOutStar)]
+    for (q, make_breaker), seed in itertools.product(setups, range(5)):
+        cfg = GameConfig(n=10, p=1, q=q, prop=Cycle(), seed=seed, early_stop=False)
+        board = Board(10)
+        maker, breaker = MakerCycle(), make_breaker()
+        maker.start(cfg, strategy_rng(cfg, MAKER))
+        breaker.start(cfg, strategy_rng(cfg, BREAKER))
+        transcript = []
+        maker_moves = 0
+        while not board.is_tournament():
+            for role, strat in ((MAKER, maker), (BREAKER, breaker)):
+                if board.is_tournament():
+                    break
+                move = strat.next_move(board, transcript)
+                for arc in move:
+                    board.orient(*arc)
+                transcript.append((role, move))
+                maker.observe(board, role, move)
+                breaker.observe(board, role, move)
+                if role == MAKER:
+                    maker_moves += 1
+                    path = maker.path
+                    assert all(board.arc(u, v) == 1 for u, v in zip(path, path[1:]))
+                    if maker.closed is None:
+                        assert len(path) - 1 >= maker_moves
+        if maker.closed is not None:
+            assert is_directed_cycle(board, maker.closed)
+        else:
+            assert len(maker.path) == 10 and find_cycle(board) is None
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +452,6 @@ def test_pick_vertex_matches_scalar_rule(data):
 
 
 def build_explicit_cut_state(board, tstar, k, threat_bias):
-    import itertools
-
     n = board.n
     sets = []
     for a in itertools.combinations(range(n), k):
@@ -435,7 +462,7 @@ def build_explicit_cut_state(board, tstar, k, threat_bias):
                 sets.append(slots)
     elements = [(u, v) for u in range(n) for v in range(n) if tstar[u, v]]
     return HypergraphState(sets, threat_bias=threat_bias, blocker_bias=1,
-                           elements=elements, use_floats=True)
+                           elements=elements)
 
 
 def test_stage2_exact_mode_agrees_with_potential_blocker(rng):
