@@ -181,14 +181,15 @@ def potential_blocker_move(state: HypergraphState, budget: int) -> list:
     """Claim up to budget elements greedily by removed potential.
 
     Each pick is the state's best_free(), rescored between picks.  Marks
-    are updated in place; returns the claimed elements.
+    are updated in place; returns the claimed elements, and raises
+    NoFreeElements when the first pick finds nothing free.
     """
-    if FREE not in state.status.values():
-        raise NoFreeElements("blocker has nothing to claim")
     claimed = []
     for _ in range(budget):
         best = state.best_free()
         if best is None:
+            if not claimed:
+                raise NoFreeElements("blocker has nothing to claim")
             break
         state.claim_blocker(best)
         claimed.append(best)

@@ -157,40 +157,38 @@ def test_maker_ck_wins_and_certifies(rng):
         assert len(c4) == 4 and is_directed_cycle(board, c4)
 
 
+class CheckedMakerCycle(MakerCycle):
+    """MakerCycle that checks its path after each of its own moves: the
+    path is a directed path on the board and, until a cycle closes, it has
+    at least one arc per Maker move."""
+
+    def start(self, config, rng):
+        super().start(config, rng)
+        self.moves = 0
+
+    def observe(self, board, role, move):
+        if role == MAKER:
+            self.moves += 1
+            path = self.path
+            assert all(board.arc(u, v) == 1 for u, v in zip(path, path[1:]))
+            if self.closed is None:
+                assert len(path) - 1 >= self.moves
+
+
 def test_maker_cycle_path_tracks_rounds():
-    # After each Maker move the path is a directed path on the board, and
-    # until a cycle closes it has gained at least one arc per Maker move.
-    # The out-star Breaker never lets a cycle close, so the path grows to
-    # span the board.
-    setups = [(1, lambda: RandomStrategy(BREAKER)), (8, BreakerOutStar)]
-    for (q, make_breaker), seed in itertools.product(setups, range(5)):
-        cfg = GameConfig(n=10, p=1, q=q, prop=Cycle(), seed=seed, early_stop=False)
-        board = Board(10)
-        maker, breaker = MakerCycle(), make_breaker()
-        maker.start(cfg, strategy_rng(cfg, MAKER))
-        breaker.start(cfg, strategy_rng(cfg, BREAKER))
-        transcript = []
-        maker_moves = 0
-        while not board.is_tournament():
-            for role, strat in ((MAKER, maker), (BREAKER, breaker)):
-                if board.is_tournament():
-                    break
-                move = strat.next_move(board, transcript)
-                for arc in move:
-                    board.orient(*arc)
-                transcript.append((role, move))
-                maker.observe(board, role, move)
-                breaker.observe(board, role, move)
-                if role == MAKER:
-                    maker_moves += 1
-                    path = maker.path
-                    assert all(board.arc(u, v) == 1 for u, v in zip(path, path[1:]))
-                    if maker.closed is None:
-                        assert len(path) - 1 >= maker_moves
-        if maker.closed is not None:
-            assert is_directed_cycle(board, maker.closed)
-        else:
-            assert len(maker.path) == 10 and find_cycle(board) is None
+    for seed in range(5):
+        cfg = GameConfig(n=10, p=1, q=1, prop=Cycle(), seed=seed, early_stop=False)
+        maker = CheckedMakerCycle()
+        rec = play_game(cfg, maker, RandomStrategy(BREAKER))
+        assert rec.winner == MAKER
+        assert is_directed_cycle(replay(rec), maker.closed)
+        # The out-star Breaker never lets a cycle close, so the path grows
+        # while the game lasts.
+        cfg = GameConfig(n=10, p=1, q=8, prop=Cycle(), seed=seed, early_stop=False)
+        maker = CheckedMakerCycle()
+        rec = play_game(cfg, maker, BreakerOutStar())
+        assert rec.winner == BREAKER and maker.closed is None
+        assert len(maker.path) == 10 and find_cycle(replay(rec)) is None
 
 
 # ---------------------------------------------------------------------------
