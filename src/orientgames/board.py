@@ -14,8 +14,9 @@ keys on isomorphism_key instead, the least such string over relabellings,
 which is the same for isomorphic boards.  Per-vertex out- and in-degree
 counts and out-neighbour bitmasks are kept beside the bytes, updated on
 every orientation, so degree queries are O(1) and graph searches can walk
-a vertex's out-neighbours with bit operations.  A whole move is checked by
-the game's rules and written in one pass over its arcs (apply_checked).
+a vertex's out-neighbours with bit operations.  The game's move rules live
+in apply_checked alone: it checks each arc and writes its pair byte in one
+pass over the move, and an illegal move leaves the board as it was.
 """
 
 from __future__ import annotations
@@ -96,12 +97,19 @@ class Board:
 
     # -- moves -------------------------------------------------------------
 
-    def check_move(self, move, bias: int) -> str | None:
-        """Reason the move is illegal on this board, or None if it is fine.
+    def apply_checked(self, move, bias: int) -> str | None:
+        """Play the move if it is legal; else leave the board untouched.
 
         A move is a tuple or list of at least one arc, at most bias (or all
         remaining pairs if fewer), no pair repeated, and every pair
-        undirected.  The reason names the first broken rule, arc by arc.
+        undirected.  Returns the reason naming the first broken rule, arc
+        by arc, or None once the move is played.
+
+        Each arc is checked and its pair byte written in the same pass, so
+        a byte already set is either a pair an earlier arc of this move
+        wrote or one oriented before it.  An illegal arc resets the bytes
+        written so far; degrees, masks and the undirected count change
+        only once the whole move is known to be legal.
         """
         if not isinstance(move, (tuple, list)):
             return f"malformed move {move!r}"
@@ -112,49 +120,41 @@ class Board:
             return f"{len(move)} arcs exceeds allowance {limit}"
         n, st = self.n, self._st
         row = 2 * n - 1  # pair_index, inlined
-        seen = set()
-        for arc in move:
+        for j, arc in enumerate(move):
             if not isinstance(arc, (tuple, list)) or len(arc) != 2:
-                return f"malformed arc {arc!r}"
+                return self._unwrite(move[:j], f"malformed arc {arc!r}")
             u, v = arc
             # Exactly int: a bool would pass as one but be recorded as "True>2".
             if type(u) is not int or type(v) is not int:
-                return f"non-integer vertex in arc {arc!r}"
+                return self._unwrite(move[:j], f"non-integer vertex in arc {arc!r}")
             if u == v:
-                return f"self-loop at {u}"
+                return self._unwrite(move[:j], f"self-loop at {u}")
             if not (0 <= u < n and 0 <= v < n):
-                return f"arc ({u},{v}) out of range"
-            a, b = (u, v) if u < v else (v, u)
-            i = a * (row - a) // 2 + (b - a - 1)
-            if i in seen:
-                return f"pair {(a, b)} repeated in move"
+                return self._unwrite(move[:j], f"arc ({u},{v}) out of range")
+            if u < v:
+                i = u * (row - u) // 2 + (v - u - 1)
+                s = LOW_HIGH
+            else:
+                i = v * (row - v) // 2 + (u - v - 1)
+                s = HIGH_LOW
             if st[i] != UNDIRECTED:
-                return f"pair {(a, b)} already oriented"
-            seen.add(i)
+                pair = (u, v) if u < v else (v, u)
+                repeated = any(sorted(earlier) == [*pair] for earlier in move[:j])
+                what = "repeated in move" if repeated else "already oriented"
+                return self._unwrite(move[:j], f"pair {pair} {what}")
+            st[i] = s
+        out, inn, outm = self._out, self._in, self._outm
+        for (u, v) in move:
+            out[u] += 1
+            inn[v] += 1
+            outm[u] |= 1 << v
+        self.undirected_count -= len(move)
         return None
 
-    def apply_checked(self, move, bias: int) -> str | None:
-        """Play the move if it is legal; else leave the board untouched.
-
-        Returns the reason the move is illegal, or None once it is played.
-        """
-        reason = self.check_move(move, bias)
-        if reason is None:
-            st, out, inn, outm = self._st, self._out, self._in, self._outm
-            row = 2 * self.n - 1
-            # The pair indices are worked out again, not kept from
-            # check_move: a list of them per move, allocated between the
-            # game's long-lived move tuples, raised the peak RSS of an
-            # n=400 game by about 0.5 MB.
-            for (u, v) in move:
-                if u < v:
-                    st[u * (row - u) // 2 + (v - u - 1)] = LOW_HIGH
-                else:
-                    st[v * (row - v) // 2 + (u - v - 1)] = HIGH_LOW
-                out[u] += 1
-                inn[v] += 1
-                outm[u] |= 1 << v
-            self.undirected_count -= len(move)
+    def _unwrite(self, arcs, reason: str) -> str:
+        # Reset the pair bytes apply_checked wrote for arcs; returns reason.
+        for (u, v) in arcs:
+            self._st[pair_index(self.n, min(u, v), max(u, v))] = UNDIRECTED
         return reason
 
     def _undo_orient(self, u: int, v: int) -> None:

@@ -263,19 +263,20 @@ Move = tuple  # tuple of (u, v) arc declarations
 def validate_move(board: Board, move, bias: int):
     """Reason the move is illegal on this board, or None if it is fine.
 
-    The rules are Board.check_move's; the board is not written.
+    Board.apply_checked's answer, played on a copy so that this board is
+    not written.
     """
-    return board.check_move(move, bias)
+    return board.copy().apply_checked(move, bias)
 
 
 def apply_move(board: Board, move, bias: int | None = None):
     """Orient the move's arcs.
 
     Without a bias each arc must be legal, as for Board.orient.  Given
-    the mover's bias this is Board.apply_checked: the move is checked
-    whole first, and the reason it is illegal is returned with the board
-    untouched, or None once it is played.  The bias form is there for
-    play_game alone, so that a game's writes stay the traced
+    the mover's bias this is Board.apply_checked: each arc is checked and
+    written in one pass, and the reason the move is illegal is returned
+    with the board untouched, or None once it is played.  The bias form
+    is there for play_game alone, so that a game's writes stay the traced
     ``engine.apply_move`` span of perfbench; replay calls apply_checked
     itself.
     """
@@ -550,11 +551,31 @@ def play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRec
 def replay(record: GameRecord) -> Board:
     """Reconstruct the final board from a record, validating as it goes.
 
-    One pass over the transcript: roles alternate from Maker, and every
-    move is checked and played by the game's rules.  When the record
-    carries digests (one per completed round plus the final board) each
-    one is checked against the rebuilt board.
+    The round count, forfeit and forced round must be the ones the
+    transcript's length implies: a game ends after its last recorded
+    move, or in the next half-turn when the side due to move forfeits.
+    Then one pass over the transcript: roles alternate from Maker, and
+    every move is checked and played by the game's rules.  When the
+    record carries digests (one per completed round plus the final board)
+    each one is checked against the rebuilt board.
     """
+    moves = len(record.transcript)
+    if record.forfeit is None:
+        rounds = (moves + 1) // 2
+    else:
+        rounds = moves // 2 + 1
+        due = BREAKER if moves % 2 else MAKER
+        if record.forfeit != due:
+            raise CorruptTranscript(f"forfeit by {record.forfeit}, but {due} was to move")
+    if record.rounds != rounds:
+        raise CorruptTranscript(f"{record.rounds} rounds, but the transcript makes {rounds}")
+    if record.forced_round is not None and (
+        record.forfeit is not None or record.forced_round != rounds
+    ):
+        raise CorruptTranscript(
+            f"forced_round {record.forced_round} in a game of {rounds} rounds"
+            + (" ended by forfeit" if record.forfeit is not None else "")
+        )
     config = record.config
     board = Board(config.n)
     check_digests = record.digests is not None

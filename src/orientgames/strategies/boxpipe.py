@@ -20,6 +20,8 @@ refuses with the computed threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from ..board import Board
 from ..boxgame import breaker_bias_threshold, harmonic
 from ..engine import BREAKER, Strategy
@@ -49,20 +51,27 @@ class BreakerBoxHamilton(Strategy):
         time (Maker can kill just one before our next turn) or as the last
         survivor; otherwise keep deficits level so that two boxes ripen
         together.  Returns the box of each claimed item, in order.
+
+        The boxes stay in one ascending list of (open items, box): the two
+        cheapest to finish are its first two entries, and a levelling
+        claim takes the lowest box of the largest open count and puts it
+        back one lower, so a move costs O((q + b) log b).
         """
+        order = sorted((k, v) for v, k in open_items.items())
         claims: list[int] = []
         budget = self.config.q
-        while budget > 0 and open_items:
-            finish = sorted(open_items, key=lambda v: (open_items[v], v))[:2]
-            cost = sum(open_items[v] for v in finish)
+        while budget > 0 and order:
+            finish = order[:2]
+            cost = sum(k for k, _ in finish)
             if cost <= budget:
-                for v in finish:
-                    claims += [v] * open_items.pop(v)
+                for k, v in finish:
+                    claims += [v] * k
+                del order[:2]
                 budget -= cost
                 continue
-            v = max(open_items, key=lambda j: (open_items[j], -j))
+            k, v = order.pop(bisect_left(order, (order[-1][0], -1)))
             claims.append(v)
-            open_items[v] -= 1
+            insort(order, (k - 1, v))
             budget -= 1
         return claims
 

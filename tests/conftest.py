@@ -163,6 +163,27 @@ class ReferencePotentials:
         return claimed
 
 
+def reference_pipeline_claims(open_items, budget):
+    """BreakerBoxHamilton's claim schedule as first written: every claim
+    re-sorts the open boxes for the two cheapest to finish, and a levelling
+    claim takes max() over (open items, reversed box)."""
+    open_items = dict(open_items)
+    claims = []
+    while budget > 0 and open_items:
+        finish = sorted(open_items, key=lambda v: (open_items[v], v))[:2]
+        cost = sum(open_items[v] for v in finish)
+        if cost <= budget:
+            for v in finish:
+                claims += [v] * open_items.pop(v)
+            budget -= cost
+            continue
+        v = max(open_items, key=lambda j: (open_items[j], -j))
+        claims.append(v)
+        open_items[v] -= 1
+        budget -= 1
+    return claims
+
+
 def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     """(ok, nodes, counterexample) of the strategy verifier as first
     written: every opponent board gets its own deep copy of the strategy,

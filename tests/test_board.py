@@ -315,3 +315,35 @@ def test_apply_checked_matches_validate_and_apply(data):
     assert b.degrees() == (outs, ins)
     assert [b.out_mask(v) for v in range(b.n)] == masks
     assert b.undirected_count == sum(map(len, free)) // 2
+
+
+# Board(5) with 0->1 and 3->2 played; LEGAL names three free pairs.
+LEGAL = ((1, 2), (4, 3), (0, 4))
+ILLEGAL_ARCS = [
+    ((2, 1), "pair (1, 2) repeated in move"),
+    ((1, 0), "pair (0, 1) already oriented"),
+    ((4, 5), "arc (4,5) out of range"),
+    ((0, 1, 2), "malformed arc (0, 1, 2)"),
+    ((True, 2), "non-integer vertex in arc (True, 2)"),
+    ((3, 3), "self-loop at 3"),
+]
+
+
+@pytest.mark.parametrize("at", [0, 1, len(LEGAL)], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("arc, reason", ILLEGAL_ARCS, ids=[r for _, r in ILLEGAL_ARCS])
+def test_apply_checked_illegal_arc_leaves_board_untouched(arc, reason, at):
+    b = Board(5)
+    b.orient(0, 1)
+    b.orient(3, 2)
+    before = board_state(b)
+    move = LEGAL[:at] + (arc,) + LEGAL[at:]
+    assert b.apply_checked(move, len(move)) == reason
+    assert board_state(b) == before
+
+
+def test_apply_checked_pair_oriented_before_the_move_is_not_a_repeat():
+    b = Board(3)
+    b.orient(0, 1)
+    before = board_state(b)
+    assert b.apply_checked(((1, 0), (0, 1)), 2) == "pair (0, 1) already oriented"
+    assert board_state(b) == before

@@ -332,6 +332,48 @@ def test_replay_matches_reference_on_tampered_records(data):
         assert str(err.value) == want
 
 
+def n4_records():
+    """Seeded n=4 cycle records: one stopped early, one Maker and one
+    Breaker forfeit."""
+    cfg = GameConfig(n=4, p=1, q=1, prop=Cycle(), seed=14)
+    early = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    maker_out = play_game(cfg, BadMoveStrategy(MAKER), FirstPairStrategy(BREAKER))
+    breaker_out = play_game(cfg, FirstPairStrategy(MAKER), BadMoveStrategy(BREAKER))
+    assert early.forced_round == early.rounds and early.forfeit is None
+    assert (maker_out.forfeit, breaker_out.forfeit) == (MAKER, BREAKER)
+    return {"early": early, "maker-forfeit": maker_out, "breaker-forfeit": breaker_out}
+
+
+def test_replay_accepts_played_round_counts():
+    for rec in n4_records().values():
+        replay(GameRecord.from_json(rec.to_json()))
+
+
+# (record, fields to overwrite): each contradicts the record's transcript.
+CONTRADICTIONS = [
+    ("early", {"rounds": -3}),
+    ("early", {"rounds": 5}),
+    ("early", {"forced_round": -1}),
+    ("early", {"forfeit": MAKER}),
+    ("early", {"forfeit": BREAKER}),
+    ("maker-forfeit", {"forfeit": BREAKER}),
+    ("breaker-forfeit", {"forfeit": MAKER}),
+    ("breaker-forfeit", {"rounds": 2}),
+    ("maker-forfeit", {"forced_round": 1}),
+]
+
+
+@pytest.mark.parametrize("name, fields", CONTRADICTIONS,
+                         ids=[n + "".join(f"-{k}={v}" for k, v in f.items())
+                              for n, f in CONTRADICTIONS])
+def test_replay_rejects_fields_the_transcript_contradicts(name, fields):
+    doc = json.loads(n4_records()[name].to_json())
+    doc.update(fields)
+    rec = GameRecord.from_json(json.dumps(doc))
+    with pytest.raises(CorruptTranscript):
+        replay(rec)
+
+
 def record_with_arcs(arcs):
     cfg = GameConfig(n=4, p=1, q=2, prop=Cycle(), seed=2, keep_digests=True)
     doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())

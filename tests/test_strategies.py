@@ -56,7 +56,7 @@ from orientgames.strategies import (
 )
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
 
-from conftest import back_arcs, boards
+from conftest import back_arcs, boards, reference_pipeline_claims
 
 # Lexicographically first strongly connected 5-vertex tournament with
 # FAS = 2, frozen from an exhaustive scan (no 4-vertex oriented graph
@@ -309,6 +309,32 @@ def test_breaker_box_live_boxes_match_arc_scan(position):
         if all(board.arc(u, v) != 1 for u in range(n) if u != v)
     }
     assert strat.live_boxes(board) == expected
+
+
+@st.composite
+def box_schedules(draw):
+    """Open items by box, often tied and sometimes 0, and a budget below,
+    at or above their total."""
+    open_items = draw(st.dictionaries(st.integers(0, 40), st.integers(0, 6), max_size=12))
+    total = sum(open_items.values())
+    where = draw(st.sampled_from(("below", "at", "above")))
+    if where == "below" and total > 1:
+        budget = draw(st.integers(1, total - 1))
+    elif where == "above":
+        budget = draw(st.integers(total + 1, total + 8))
+    else:
+        budget = max(total, 1)
+    return open_items, budget
+
+
+@example(schedule=({0: 3, 1: 3, 2: 3}, 4))  # levelling through a three-way tie
+@example(schedule=({4: 1, 7: 1, 9: 1}, 2))  # boxes left at 0 by levelling
+@given(schedule=box_schedules())
+def test_breaker_box_claims_match_reference(schedule):
+    open_items, budget = schedule
+    strat = started(BreakerBoxHamilton(), n=1, q=budget, prop=MinInDegreePositive())
+    want = reference_pipeline_claims(open_items, budget)
+    assert strat._pipeline_claims(dict(open_items)) == want
 
 
 @pytest.mark.parametrize("q", [5, 6])
