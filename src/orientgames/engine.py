@@ -569,12 +569,9 @@ def replay(record: GameRecord) -> Board:
             raise CorruptTranscript(f"forfeit by {record.forfeit}, but {due} was to move")
     if record.rounds != rounds:
         raise CorruptTranscript(f"{record.rounds} rounds, but the transcript makes {rounds}")
-    if record.forced_round is not None and (
-        record.forfeit is not None or record.forced_round != rounds
-    ):
+    if record.forced_round is not None and (record.forfeit or record.forced_round != rounds):
         raise CorruptTranscript(
-            f"forced_round {record.forced_round} in a game of {rounds} rounds"
-            + (" ended by forfeit" if record.forfeit is not None else "")
+            f"forced_round {record.forced_round} in {rounds} rounds with forfeit {record.forfeit}"
         )
     config = record.config
     board = Board(config.n)
