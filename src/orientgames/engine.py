@@ -49,17 +49,16 @@ class Property:
 
     ``holds`` judges the board's arcs, ``forced`` tells whether a partial
     board already fixes the verdict, ``forced_after`` does the same given
-    that the board without the newest arcs fixed nothing, and
-    ``solver_max_n`` caps exact solving.
+    that the board without the newest arcs fixed nothing.  The exact
+    solver's size and bias budget is one for every property
+    (``solver.SOLVER_MAX_N``, ``solver.SOLVER_MAX_BIAS``).
 
-    Every property the exact solver accepts must be invariant under
-    relabelling: ``holds`` and ``forced`` give the same answer on a board
-    and on ``board.relabeled(perm)``.  The solver memoizes positions up to
+    Every property must be invariant under relabelling: ``holds`` and
+    ``forced`` give the same answer on a board and on
+    ``board.relabeled(perm)``.  The solver memoizes positions up to
     isomorphism (``Board.isomorphism_key``), so one relabelling's value
     stands for them all.
     """
-
-    solver_max_n = 4
 
     def key(self) -> str:
         raise NotImplementedError
@@ -90,8 +89,6 @@ class MonotoneProperty(Property):
 
 @dataclass(frozen=True)
 class Cycle(MonotoneProperty):
-    solver_max_n = 6
-
     def key(self):
         return "cycle"
 
@@ -149,10 +146,6 @@ class CycleLengthK(MonotoneProperty):
         if self.k < 3:
             raise BadConfig(f"cycle length must be >= 3, got {self.k}")
 
-    @property
-    def solver_max_n(self):
-        return 5 if self.k == 3 else 4
-
     def key(self):
         return f"ck:{self.k}"
 
@@ -180,10 +173,6 @@ class NonKColorable(Property):
 @dataclass(frozen=True)
 class ContainsH(MonotoneProperty):
     pattern: PatternGraph
-
-    @property
-    def solver_max_n(self):
-        return 5 if self.pattern.t <= 3 else 4
 
     def key(self):
         arcs = ",".join(f"{u}>{v}" for (u, v) in sorted(self.pattern.arcs))

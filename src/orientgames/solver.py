@@ -6,8 +6,11 @@ single orientations plus a voluntary end-of-turn (legal once at least one
 arc is down); the opponent never observes mid-turn states, so this is
 value-preserving and lets transpositions collapse.  Monotone properties
 cut whole subtrees via forced verdicts, each judged from the arc the node
-was entered through.  The strategy verifier expands every opponent turn
-and deep-copies the strategy only on branches where it is about to move.
+was entered through.  One step order, ``first_step``'s, serves the
+search and the principal variation.  Every property is solved up to
+``SOLVER_MAX_N`` vertices and bias ``SOLVER_MAX_BIAS``, one budget for
+all of them.  The strategy verifier expands every opponent turn and
+deep-copies the strategy only on branches where it is about to move.
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from .engine import (
 )
 from .errors import BudgetExceeded, SizeMismatch
 
+SOLVER_MAX_N = 6
 SOLVER_MAX_BIAS = 3
 VERIFY_NODE_LIMIT = 50_000_000
+END_TURN = "end-turn"  # the voluntary end of a turn, as a solver step
 
 
 @dataclass
@@ -44,10 +49,11 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
     """Exact winner of the (p:q) orientation game under optimal play."""
     if start_board is not None and start_board.n != n:
         raise SizeMismatch(f"start board has {start_board.n} vertices, game has {n}")
-    if n > prop.solver_max_n:
-        raise BudgetExceeded(f"solver capped at n={prop.solver_max_n} for {prop!r}")
-    if p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
-        raise BudgetExceeded(f"solver capped at bias {SOLVER_MAX_BIAS}")
+    if n > SOLVER_MAX_N or p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
+        raise BudgetExceeded(
+            f"solver capped at n={SOLVER_MAX_N} and bias {SOLVER_MAX_BIAS}, "
+            f"got n={n}, p={p}, q={q} for {prop!r}"
+        )
     board = start_board.copy() if start_board is not None else Board(n)
     memo: dict = {}
     iso_keys: dict = {}  # raw board -> isomorphism key, for this solve only
@@ -75,22 +81,26 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             stats["hits"] += 1
             return hit
         want = mover == MAKER
-        result = not want
+        result = want if first_step(mover, budget, opened, want) is not None else not want
+        memo[key] = result
+        return result
+
+    def first_step(mover: str, budget: int, opened: bool, value: bool):
+        """The first step, in the solver's order, whose subgame has the
+        given value: END_TURN, an arc, or None.  The voluntary end of the
+        turn comes first once the turn is opened, then ``_arcs(board)``."""
         if opened:
-            # Voluntarily end the turn.
             nxt = other(mover)
-            if search(nxt, q if nxt == BREAKER else p, False, ()) == want:
-                result = want
-        if result != want and budget > 0:
+            if search(nxt, q if nxt == BREAKER else p, False, ()) == value:
+                return END_TURN
+        if budget > 0:
             for arc in _arcs(board):
                 board.orient(*arc)
                 sub = search(mover, budget - 1, True, (arc,))
                 board._undo_orient(*arc)
-                if sub == want:
-                    result = want
-                    break
-        memo[key] = result
-        return result
+                if sub == value:
+                    return arc
+        return None
 
     maker_wins = search(MAKER, p, False)
     solved = SolveResult(
@@ -101,31 +111,23 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         memo_size=len(memo),
     )
 
-    # Principal variation: greedy walk along the game values, which the
-    # memo mostly already holds; each step keeps the turn's first arc, in
-    # pair order, that keeps the value.  Its searches are not counted.
+    # Principal variation: follow first_step along the game values, which
+    # the memo mostly already holds.  Its searches are not counted.
     mover, budget, opened = MAKER, p, False
     turn_arcs: list = []
     played: list = []
     while forced_verdict(board, prop) is None:
-        value = search(mover, budget, opened, ())
-        if opened:
-            nxt = other(mover)
-            nxt_budget = q if nxt == BREAKER else p
-            if search(nxt, nxt_budget, False, ()) == value:
-                solved.pv.append((mover, tuple(turn_arcs)))
-                turn_arcs.clear()
-                mover, budget, opened = nxt, nxt_budget, False
-                continue
-        for arc in _arcs(board):
-            board.orient(*arc)
-            if search(mover, budget - 1, True, (arc,)) == value:
-                break
-            board._undo_orient(*arc)
-        else:
-            raise AssertionError("no move keeps the game value")
-        turn_arcs.append(arc)
-        played.append(arc)
+        step = first_step(mover, budget, opened, search(mover, budget, opened, ()))
+        assert step is not None, "no step keeps the game value"
+        if step == END_TURN:
+            solved.pv.append((mover, tuple(turn_arcs)))
+            turn_arcs.clear()
+            mover = other(mover)
+            budget, opened = (q if mover == BREAKER else p), False
+            continue
+        board.orient(*step)
+        turn_arcs.append(step)
+        played.append(step)
         budget, opened = budget - 1, True
     if turn_arcs:
         solved.pv.append((mover, tuple(turn_arcs)))

@@ -107,18 +107,6 @@ class HypergraphState:
             return base ** (self.top - self.remaining[i])
         return base ** (-self.remaining[i] / self.threat_bias)
 
-    def _unscaled(self, w):
-        """A weight as a potential: an exact Fraction at threat bias 1."""
-        if self.threat_bias == 1:
-            return Fraction(w, (self.blocker_bias + 1) ** self.top)
-        return w
-
-    def potential(self, i: int):
-        return self._unscaled(self.weight(i))
-
-    def total_potential(self):
-        return self._unscaled(sum(self.weight(i) for i in range(len(self.sets))))
-
     def removal_score(self, e):
         """Weight of the live sets a blocker claim of e would kill."""
         return sum(self.weight(i) for i in self.member_of[e] if not self.dead[i])

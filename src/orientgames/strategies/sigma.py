@@ -114,7 +114,7 @@ class MakerGreedyEmbedding(Strategy):
             score = 0
             for (u, v) in itertools.combinations(sub, 2):
                 a = board.arc(u, v)
-                if a == -1:  # backward under identity: v -> u... arc(u,v) == -1 means v->u
+                if a == -1:  # v -> u with u < v: backward under the identity order
                     score += 1
                 elif a == 0 and free is None:
                     free = (v, u)  # orient high to low: a new backward arc

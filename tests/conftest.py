@@ -141,10 +141,6 @@ class ReferencePotentials:
         left = len(s - self.threat)
         return Fraction(1, self.base ** left) if exact else self.base ** (-left / self.p)
 
-    def total_potential(self):
-        return sum((self.potential(i) for i in range(len(self.sets))),
-                   Fraction(0) if self.p == 1 else 0.0)
-
     def removal_score(self, e):
         return sum((self.potential(i) for i, s in enumerate(self.sets)
                     if e in s and not s & self.blocker),

@@ -191,8 +191,14 @@ def test_solve_cache_survives_failed_write(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
-def test_solve_budget_exit_code():
-    assert run(["solve", "--n", "9", "--property", "cycle"]) == 3
+def test_solve_budget_exit_code(capsys):
+    # One size cap for every property: n=7 is past it, n=6 is solved.
+    for key in ["cycle", "hamiltonicity", "hamilton", "min-indegree-positive",
+                "min-indegree", "ck:3", "nonkcol:2", "contains:3:0>1,1>2,2>0"]:
+        assert run(["solve", "--n", "7", "--property", key]) == 3, key
+    assert "capped at n=6 and bias 3" in capsys.readouterr().err
+    assert run(["solve", "--n", "6", "--q", "3", "--property", "hamiltonicity"]) == 0
+    assert capsys.readouterr().out.startswith("winner: breaker  nodes: 13281  ")
 
 
 def test_boxgame_command(capsys):

@@ -71,15 +71,15 @@ def test_stage2_cut_instance_threshold():
 def test_blocker_picks_shared_element():
     state = HypergraphState([{1, 2}, {2, 3}], 1, 1)
     assert potential_blocker_move(state, 1) == [2]
-    assert state.total_potential() == 0
+    assert [state.weight(i) for i in range(2)] == [0, 0]
 
 
 def test_dead_set_contributes_zero():
     state = HypergraphState([{1, 2, 3}], 1, 1)
     state.claim_blocker(1)
-    assert state.potential(0) == 0
+    assert state.weight(0) == 0
     state.claim_threat(2)
-    assert state.potential(0) == 0
+    assert state.weight(0) == 0
     assert not state.threat_completed
 
 
@@ -92,7 +92,7 @@ def test_no_free_elements():
 
 def test_ledger_consistency_incremental_vs_scratch(rng):
     # Replaying the claim history into a fresh state must reproduce every
-    # potential exactly (Fractions when the threat bias is 1).
+    # weight exactly (integers when the threat bias is 1).
     for _ in range(30):
         n_el = rng.randint(4, 10)
         sets = [
@@ -114,8 +114,7 @@ def test_ledger_consistency_incremental_vs_scratch(rng):
         for (e, side) in history:
             (fresh.claim_threat if side else fresh.claim_blocker)(e)
         for i in range(len(sets)):
-            assert state.potential(i) == fresh.potential(i)
-        assert state.total_potential() == fresh.total_potential()
+            assert state.weight(i) == fresh.weight(i)
 
 
 def blocker_never_loses(sets, n_elements):
@@ -187,7 +186,8 @@ def test_deepcopy_shares_only_the_set_family():
 @given(st.data())
 def test_scores_and_picks_match_reference(data):
     # Integer weights at threat bias 1 and floats above it must pick what
-    # the Fraction/float scorer picked, and report the same potentials.
+    # the Fraction/float scorer picked, and be its potentials in weight
+    # units: scaled by base**top at threat bias 1, as they are above it.
     n_el = data.draw(st.integers(1, 10), label="elements")
     sets = data.draw(st.lists(st.frozensets(st.integers(0, n_el - 1), min_size=1),
                               min_size=1, max_size=8), label="sets")
@@ -195,10 +195,10 @@ def test_scores_and_picks_match_reference(data):
     q = data.draw(st.integers(1, 6), label="blocker bias")
     state = HypergraphState(sets, p, q, elements=range(n_el))
     ref = ReferencePotentials(sets, p, q, range(n_el))
+    scale = (q + 1) ** state.top if p == 1 else 1
     while True:
-        assert [state.potential(i) for i in range(len(sets))] == [
-            ref.potential(i) for i in range(len(sets))]
-        assert state.total_potential() == ref.total_potential()
+        assert [state.weight(i) for i in range(len(sets))] == [
+            ref.potential(i) * scale for i in range(len(sets))]
         free = state.free_elements()
         if not free:
             break

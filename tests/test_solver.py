@@ -61,33 +61,35 @@ def test_minindeg_equals_cycle_at_n3():
         assert a == b
 
 
-# Each property's solver size cap.
-SOLVER_CAPS = [
-    (Cycle(), 6),
-    (CycleLengthK(3), 5),
-    (CycleLengthK(4), 4),
-    (ContainsH(PatternGraph.cycle(3)), 5),
-    (ContainsH(PatternGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))), 4),
-    (Hamiltonicity(), 4),
-    (MinInDegreePositive(), 4),
-    (NonKColorable(2), 4),
+# One property of each kind; the solver takes every property up to
+# SOLVER_MAX_N vertices and bias SOLVER_MAX_BIAS.
+SOLVER_PROPS = [
+    Cycle(),
+    CycleLengthK(3),
+    CycleLengthK(4),
+    ContainsH(PatternGraph.cycle(3)),
+    ContainsH(PatternGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))),
+    Hamiltonicity(),
+    MinInDegreePositive(),
+    NonKColorable(2),
 ]
 
 
 def test_budget_errors():
-    for prop, cap in SOLVER_CAPS:
-        assert prop.solver_max_n == cap, prop
-        with pytest.raises(BudgetExceeded):
-            solve_orientation_game(cap + 1, 1, 1, prop)
-    with pytest.raises(BudgetExceeded):
-        solve_orientation_game(3, 4, 1, Cycle())
+    assert (solver.SOLVER_MAX_N, solver.SOLVER_MAX_BIAS) == (6, 3)
+    for prop in SOLVER_PROPS:
+        with pytest.raises(BudgetExceeded, match="capped at n=6 and bias 3"):
+            solve_orientation_game(7, 1, 1, prop)
+    for p, q in [(4, 1), (1, 4)]:
+        with pytest.raises(BudgetExceeded, match="capped at n=6 and bias 3"):
+            solve_orientation_game(3, p, q, Cycle())
 
 
 def test_start_board_must_match_n():
     with pytest.raises(SizeMismatch):
         solve_orientation_game(4, 1, 1, Cycle(), start_board=Board(2))
-    # Hamiltonicity is capped at n=4; a 7-vertex start board must not
-    # slip past the cap under a smaller n.
+    # A 7-vertex start board, past the size cap, must not slip past it
+    # under a smaller n.
     with pytest.raises(SizeMismatch):
         solve_orientation_game(3, 1, 1, Hamiltonicity(), start_board=Board(7))
 
@@ -173,12 +175,17 @@ def test_threshold_scan_n6():
     assert threshold_scan(6, Cycle()) == 3
 
 
-# Every game each property's solver takes up to n = 5, once with the key
-# of the board's isomorphism class and once with its raw bytes.  Cycle at
-# n = 6 is left out: with raw keys it takes minutes.
-@pytest.mark.parametrize("prop, cap", SOLVER_CAPS, ids=repr)
-def test_isomorphism_key_gives_the_raw_key_winners(prop, cap, monkeypatch):
-    games = [(n, 1, q) for n in range(2, min(cap, 5) + 1) for q in (1, 2, 3)]
+# Every game up to n = 5, once with the key of the board's isomorphism
+# class and once with its raw bytes.  n = 6 is left out: with raw keys the
+# cycle game alone takes minutes.  The ids keep the names the cases were
+# first filed under, which carried each property's own size cap from
+# before the solver had one budget.
+RAW_KEY_IDS = [f"{prop!r}-{cap}" for prop, cap in zip(SOLVER_PROPS, (6, 5, 4, 5, 4, 4, 4, 4))]
+
+
+@pytest.mark.parametrize("prop", SOLVER_PROPS, ids=RAW_KEY_IDS)
+def test_isomorphism_key_gives_the_raw_key_winners(prop, monkeypatch):
+    games = [(n, 1, q) for n in range(2, 6) for q in (1, 2, 3)]
     keyed = [solve_orientation_game(*g, prop).winner for g in games]
     monkeypatch.setattr(Board, "isomorphism_key", Board.canonical_key)
     assert [solve_orientation_game(*g, prop).winner for g in games] == keyed
