@@ -167,6 +167,10 @@ def _merge_spec_file(args):
 
 def cmd_sweep(args) -> int:
     _merge_spec_file(args)
+    for key in ("seeds", "workers"):
+        value = getattr(args, key)
+        if value < 1:
+            raise ParseError(f"--{key} must be at least 1, got {value}")
     ns = _parse_int_list(args.n, "n")
     jobs = []
     for n in ns:
@@ -175,9 +179,12 @@ def cmd_sweep(args) -> int:
                 seed = _cell_seed(args.seed, n, bias, i)
                 jobs.append((n, bias, seed, args.p, args.maker, args.breaker,
                              args.property, not args.no_early_stop))
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs, chunksize=8))
+    # The pool forks every worker up front, so never start more than there
+    # are jobs; map deals the jobs out one at a time.
+    workers = min(args.workers, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_cell, jobs))
     else:
         rows = [_sweep_cell(job) for job in jobs]
     rows.sort(key=lambda r: (r["n"], r["bias"], r["seed"]))

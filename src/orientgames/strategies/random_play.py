@@ -6,7 +6,10 @@ the greedy ones read vertex degrees straight from the board."""
 
 from __future__ import annotations
 
-from ..board import Board, all_pairs
+import heapq
+import itertools
+
+from ..board import Board, pair_index
 from ..engine import BREAKER, MAKER, Strategy
 
 
@@ -14,18 +17,23 @@ class _FreePairList:
     """Undirected pairs with O(1) removal and uniform sampling."""
 
     def __init__(self, n: int):
-        self.pairs = list(all_pairs(n))
-        self.pos = {p: i for i, p in enumerate(self.pairs)}
+        self.n = n
+        self.pairs = list(itertools.combinations(range(n), 2))
+        # pos[pair_index(n, u, v)] is where (u, v) sits in pairs, -1 once removed.
+        self.pos = list(range(len(self.pairs)))
 
     def remove(self, u: int, v: int):
-        p = (u, v) if u < v else (v, u)
-        i = self.pos.pop(p, None)
-        if i is None:
+        if u > v:
+            u, v = v, u
+        k = pair_index(self.n, u, v)
+        i = self.pos[k]
+        if i < 0:
             return
+        self.pos[k] = -1
         last = self.pairs.pop()
-        if last != p:
+        if i < len(self.pairs):
             self.pairs[i] = last
-            self.pos[last] = i
+            self.pos[pair_index(self.n, *last)] = i
 
     def sample(self, rng):
         return self.pairs[rng.randrange(len(self.pairs))]
@@ -71,15 +79,20 @@ class BreakerGreedyStar(Strategy):
 
     def next_move(self, board: Board, transcript):
         # The keys are read once, so the targets come in ascending key
-        # order; a pair between two targets went to the earlier one.
-        last = board.n - 1
+        # order; a pair between two targets went to the earlier one.  Key
+        # (in, free, v) is packed as the int (in*n + free)*n + v: each part
+        # is below n, so the ints order as the tuples would.
+        n = board.n
+        last = n - 1
         outs, ins = board.degrees()
-        order = sorted((i, last - o - i, v) for v, (o, i) in enumerate(zip(outs, ins))
-                       if o + i < last)
+        keys = [(i * n + last - o - i) * n + v for v, (o, i) in enumerate(zip(outs, ins))
+                if o + i < last]
+        heapq.heapify(keys)
         budget = self.config.q
         arcs = []
         targets: set[int] = set()
-        for _, _, target in order:
+        while keys:
+            target = heapq.heappop(keys) % n
             for w in board.undirected_neighbors(target):
                 if w not in targets:
                     arcs.append((target, w))

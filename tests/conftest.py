@@ -180,6 +180,31 @@ def reference_pipeline_claims(open_items, budget):
     return claims
 
 
+class ReferenceFreePairList:
+    """RandomStrategy's free-pair list as first written: positions kept in
+    a dict keyed by the pair tuple, swap-with-last removal."""
+
+    def __init__(self, n):
+        self.pairs = list(all_pairs(n))
+        self.pos = {p: i for i, p in enumerate(self.pairs)}
+
+    def remove(self, u, v):
+        p = (u, v) if u < v else (v, u)
+        i = self.pos.pop(p, None)
+        if i is None:
+            return
+        last = self.pairs.pop()
+        if last != p:
+            self.pairs[i] = last
+            self.pos[last] = i
+
+    def sample(self, rng):
+        return self.pairs[rng.randrange(len(self.pairs))]
+
+    def __len__(self):
+        return len(self.pairs)
+
+
 def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     """(ok, nodes, counterexample) of the strategy verifier as first
     written: every opponent board gets its own deep copy of the strategy,

@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from orientgames import cli
 from orientgames.board import Board
 from orientgames.cli import main
 from orientgames.engine import GameRecord, MAKER, evaluate_property, replay
@@ -116,6 +117,58 @@ def test_sweep_deterministic_across_workers(tmp_path):
             "--seeds", "4", "--seed", "9"]
     assert run(base + ["--out", str(a), "--workers", "1"]) == 0
     assert run(base + ["--out", str(b), "--workers", "3"]) == 0
+    assert read(a) == read(b)
+
+
+SMALL_SWEEP = ["sweep", "--n", "6", "--bias", "1", "--maker", "maker-random",
+               "--breaker", "breaker-random", "--property", "cycle", "--seed", "4"]
+
+
+@pytest.mark.parametrize("flag,value", [("--seeds", "-3"), ("--seeds", "0"),
+                                        ("--workers", "0"), ("--workers", "-1")])
+def test_sweep_rejects_empty_runs(tmp_path, capsys, flag, value):
+    args = SMALL_SWEEP + ["--seeds", "3", "--workers", "2", "--out", str(tmp_path / "x.csv")]
+    args[args.index(flag) + 1] = value
+    assert run(args) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("seeds,workers,pool_size", [("3", "64", 3), ("5", "2", 2),
+                                                     ("1", "8", None)])
+def test_sweep_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, seeds, workers,
+                                               pool_size):
+    pools = []
+
+    class InlinePool:
+        """Records how the pool was asked to run and maps in this process,
+        so the test starts no worker."""
+
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, **kwargs):
+            self.map_kwargs = kwargs
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    base = SMALL_SWEEP + ["--seeds", seeds]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(base + ["--workers", workers, "--out", str(a)]) == 0
+    if pool_size is None:
+        assert pools == []
+    else:
+        [pool] = pools
+        assert pool.max_workers == pool_size
+        assert pool.map_kwargs == {}  # jobs are dealt one at a time
+    assert run(base + ["--workers", "1", "--out", str(b)]) == 0
     assert read(a) == read(b)
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -55,8 +56,9 @@ from orientgames.strategies import (
     potential_blocker_move,
 )
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
+from orientgames.strategies.random_play import _FreePairList
 
-from conftest import back_arcs, boards, reference_pipeline_claims
+from conftest import ReferenceFreePairList, back_arcs, boards, reference_pipeline_claims
 
 # Lexicographically first strongly connected 5-vertex tournament with
 # FAS = 2, frozen from an exhaustive scan (no 4-vertex oriented graph
@@ -787,6 +789,34 @@ def test_greedy_star_matches_reference_rule(data):
     q = data.draw(st.integers(1, max(1, pair_count(board.n))), label="q")
     breaker = started(BreakerGreedyStar(), n=board.n, q=q)
     assert breaker.next_move(board, []) == greedy_star_reference(board, q)
+
+
+# ---------------------------------------------------------------------------
+# random play's free-pair list
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_free_pair_list_matches_reference(data):
+    # A step is a removal, or None for a sample.  Removals come in either
+    # argument order and may repeat a removed pair; both sides sample
+    # from one seed, so equal lists must also draw equal pairs.
+    n = data.draw(st.integers(2, 12), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    steps = data.draw(st.lists(st.none() | pair, max_size=3 * pair_count(n)), label="steps")
+    fast, ref = _FreePairList(n), ReferenceFreePairList(n)
+    fast_rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert fast.pairs == ref.pairs
+    for step in steps:
+        if step is None:
+            if len(ref):
+                assert fast.sample(fast_rng) == ref.sample(ref_rng)
+        else:
+            fast.remove(*step)
+            ref.remove(*step)
+        assert fast.pairs == ref.pairs and len(fast) == len(ref)
 
 
 def test_stage2_config_formulas():
