@@ -401,16 +401,18 @@ class Strategy:
 
     A strategy is bound to one game: start() hands it the config and a
     private seeded generator, then next_move() is called whenever it is to
-    move.  Given the same seed and transcript a strategy must propose the
-    same move, and it must never propose an illegal one (the engine
-    forfeits it if it does).
+    move.  A strategy that draws keeps that generator as ``self.rng``; a
+    deterministic one does not keep it.  Given the same seed and transcript
+    a strategy must propose the same move, and it must never propose an
+    illegal one (the engine forfeits it if it does).
     """
 
     role = MAKER
 
     def start(self, config: GameConfig, rng: random.Random) -> None:
+        """Bind to a game.  Stores only ``config``: a strategy that draws
+        sets ``self.rng = rng`` in its own start()."""
         self.config = config
-        self.rng = rng
 
     def next_move(self, board: Board, transcript) -> Move:
         raise NotImplementedError
@@ -429,10 +431,11 @@ class Strategy:
     def __deepcopy__(self, memo):
         """Independent copy for exhaustive search, made cheaply.
 
-        The frozen config is shared, and the generator is cloned through
-        its state rather than its internals; every other attribute is
-        deep-copied with the same memo, so an alias of ``rng`` stays an
-        alias of the clone.
+        The frozen config is shared.  A strategy that draws keeps its
+        generator as ``rng``, which is cloned through its state rather than
+        its internals; every other attribute is deep-copied with the same
+        memo, so an alias of ``rng`` stays an alias of the clone.  A
+        deterministic strategy holds no generator, so nothing is cloned.
         """
         cls = type(self)
         clone = cls.__new__(cls)

@@ -395,6 +395,7 @@ class MakerHamilton(Strategy):
 
     def start(self, config, rng):
         super().start(config, rng)
+        self.rng = rng
         n = config.n
         self.k = self.k_override if self.k_override is not None else default_expansion_size(n)
         self.tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=self.k)

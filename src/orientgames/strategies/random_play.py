@@ -50,6 +50,7 @@ class RandomStrategy(Strategy):
 
     def start(self, config, rng):
         super().start(config, rng)
+        self.rng = rng
         self.free = _FreePairList(config.n)
 
     def observe(self, board, role, move):

@@ -575,6 +575,7 @@ def test_strategy_deepcopy_shares_config_and_clones_rng():
 class AliasingStrategy(Strategy):
     def start(self, config, rng):
         super().start(config, rng)
+        self.rng = rng
         self.sampler = rng
         self.pair = [rng, rng]
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 
 import pytest
 
@@ -475,6 +476,43 @@ def test_verifier_copies_only_a_strategy_about_to_move(monkeypatch, cls, args, c
     assert verify_strategy_vs_all(Counted, *args).ok
     root_moves = 1 if args[0] == MAKER else 0
     assert counts == {"copies": copies, "moves": copies + root_moves}
+
+
+# Deterministic strategies hold no generator, so copying one for a verifier
+# branch clones none.  The random strategy shows the counter does count.
+@pytest.mark.parametrize("cls, args", [
+    (MakerCycle, (MAKER, 6, 1, 1, Cycle())),
+    (BreakerOutStar, (BREAKER, 6, 1, 4, Cycle())),
+], ids=["maker-cycle-6-1-1", "outstar-6-1-4"])
+def test_verifier_clones_no_generator_for_deterministic_strategies(monkeypatch, cls, args):
+    expected = reference_verify(cls, *args)
+    calls = {"getstate": 0}
+    getstate = random.Random.getstate
+
+    def counting_getstate(self):
+        calls["getstate"] += 1
+        return getstate(self)
+
+    monkeypatch.setattr(random.Random, "getstate", counting_getstate)
+    r = verify_strategy_vs_all(cls, *args)
+    assert calls["getstate"] == 0
+    assert (r.ok, r.nodes, r.counterexample) == expected
+    verify_strategy_vs_all(lambda: RandomStrategy(MAKER), MAKER, 5, 3, 2, Cycle(), seed=1)
+    assert calls["getstate"] > 0
+
+
+# A strategy that draws keeps its generator, and every verifier branch must
+# continue a clone of its stream.
+@pytest.mark.parametrize("role", [MAKER, BREAKER])
+@pytest.mark.parametrize("n, q", [(4, 1), (4, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("seed", range(4))
+def test_random_strategy_verifier_matches_reference(role, n, q, seed):
+    def factory():
+        return RandomStrategy(role)
+
+    r = verify_strategy_vs_all(factory, role, n, 1, q, Cycle(), seed=seed)
+    assert (r.ok, r.nodes, r.counterexample) == reference_verify(
+        factory, role, n, 1, q, Cycle(), seed=seed)
 
 
 @pytest.mark.parametrize("factory, args, memo_size", [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orientgames.strategies as strategies_package
 from orientgames.board import Board, pair_count
 from orientgames.boxgame import breaker_bias_threshold
 from orientgames.engine import (
@@ -676,6 +677,62 @@ def test_build_strategy_ids(tmp_path):
         build_strategy("maker-unknown")
     with pytest.raises(UnknownStrategy):
         build_strategy("breaker-sigma:/nonexistent/file")
+
+
+# Every id build_strategy knows, with a small game it can play.  Only the
+# strategies that draw keep the generator start() hands them.
+DETERMINISTIC_IDS = [
+    ("maker-cycle", dict(n=6, q=1, prop=Cycle())),
+    ("maker-ck:3", dict(n=6, q=1, prop=CycleLengthK(3))),
+    ("maker-nonkcol:2", dict(n=8, q=1, prop=NonKColorable(2))),
+    ("breaker-outstar", dict(n=5, q=3, prop=Cycle())),
+    ("breaker-box", dict(n=8, q=4, prop=MinInDegreePositive())),
+    ("breaker-sigma", dict(n=7, q=20, prop=ContainsH(FAS2_PATTERN))),
+    ("breaker-greedy-star", dict(n=8, q=2, prop=MinInDegreePositive())),
+]
+DRAWING_IDS = [
+    ("maker-random", dict(n=6, q=1, prop=Cycle())),
+    ("breaker-random", dict(n=6, q=1, prop=Cycle())),
+    ("maker-hamilton", dict(n=10, q=1, prop=Hamiltonicity())),
+]
+
+
+def built(spec, tmp_path):
+    if spec == "breaker-sigma":
+        pattern_file = tmp_path / "h.tour"
+        pattern_file.write_text(FAS2_PATTERN.to_text())
+        spec = f"breaker-sigma:{pattern_file}"
+    return build_strategy(spec)
+
+
+def test_generator_tests_cover_every_id():
+    # The ids are the ones listed in the strategies package docstring.
+    listed = {line.split()[0].partition(":")[0]
+              for line in strategies_package.__doc__.splitlines() if line.startswith("    ")}
+    assert {spec.partition(":")[0] for spec, _ in DETERMINISTIC_IDS + DRAWING_IDS} == listed
+
+
+@pytest.mark.parametrize("spec, game", DETERMINISTIC_IDS, ids=[s for s, _ in DETERMINISTIC_IDS])
+def test_deterministic_strategies_keep_no_generator(tmp_path, spec, game):
+    s = built(spec, tmp_path)
+    cfg = GameConfig(p=1, seed=0, **game)
+    s.start(cfg, strategy_rng(cfg, s.role))
+    assert "rng" not in vars(s)
+    # A game calls next_move and observe; one that read self.rng would raise.
+    opponent = RandomStrategy(BREAKER if s.role == MAKER else MAKER)
+    pair = (s, opponent) if s.role == MAKER else (opponent, s)
+    rec = play_game(cfg, *pair)
+    assert rec.forfeit is None
+    assert "rng" not in vars(s)
+
+
+@pytest.mark.parametrize("spec, game", DRAWING_IDS, ids=[s for s, _ in DRAWING_IDS])
+def test_drawing_strategies_keep_their_generator(tmp_path, spec, game):
+    s = built(spec, tmp_path)
+    cfg = GameConfig(p=1, seed=0, **game)
+    rng = strategy_rng(cfg, s.role)
+    s.start(cfg, rng)
+    assert vars(s)["rng"] is rng
 
 
 def test_maker_cycle_guaranteed_range_large_board():
