@@ -5,12 +5,16 @@ variant) before Box-Breaker destroys it; a breaker-touched box is dead.
 This sub-game drives the box Breaker strategy for the Hamiltonicity
 orientation game, and the harmonic-sum criteria here are the constructive
 gate for it.
+
+A box is its deficit, the number of its items not yet claimed.  Real
+items are claimed before virtual ones, so one number per box says how
+many of each are left and whether the box is complete; the solver, the
+verifier and the box Breaker all read boxes that way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AllDestroyed, BudgetExceeded
@@ -75,77 +79,49 @@ def breaker_bias_threshold(n: int) -> int:
             return b
 
 
-@dataclass
 class BoxGameState:
     """Live state of a box game, with optional virtual padding (TwoBox).
 
-    Virtual items realize the reduction of the two-box game to the classic
-    one: each box is padded with b phantom elements, claimed only after all
-    real elements of that box (claims of them cost budget but do nothing).
-    Completing a box (all real items claimed while alive) is permanent;
-    destroying it afterwards changes nothing.
+    A box is its deficit: the items of it not yet claimed, padding
+    included.  Virtual items realize the reduction of the two-box game to
+    the classic one: each box is padded with ``pad`` phantom elements,
+    claimed only after all real elements of that box (claims of them cost
+    budget but do nothing).  So a box's real deficit is its deficit above
+    the pad, and a box is complete once its deficit is at most the pad.
+    That count is exact: only a live box is ever claimed, so a box with no
+    real items left was completed while alive, and destroying it
+    afterwards changes nothing.
     """
 
-    sizes: list[int]
-    virtual_pad: int = 0
-    claimed_real: list[int] = field(default_factory=list)
-    claimed_virtual: list[int] = field(default_factory=list)
-    destroyed: list[bool] = field(default_factory=list)
-    completed: list[bool] = field(default_factory=list)
-
-    def __post_init__(self):
-        r = len(self.sizes)
-        if not self.claimed_real:
-            self.claimed_real = [0] * r
-        if not self.claimed_virtual:
-            self.claimed_virtual = [0] * r
-        if not self.destroyed:
-            self.destroyed = [False] * r
-        if not self.completed:
-            self.completed = [
-                self.sizes[i] - self.claimed_real[i] == 0 and not self.destroyed[i]
-                for i in range(r)
-            ]
+    def __init__(self, sizes: list[int], virtual_pad: int = 0):
+        self.pad = virtual_pad
+        self.deficits = [k + virtual_pad for k in sizes]
+        self.destroyed = [False] * len(self.deficits)
 
     def clone(self) -> "BoxGameState":
-        return BoxGameState(
-            sizes=list(self.sizes),
-            virtual_pad=self.virtual_pad,
-            claimed_real=list(self.claimed_real),
-            claimed_virtual=list(self.claimed_virtual),
-            destroyed=list(self.destroyed),
-            completed=list(self.completed),
-        )
+        twin = BoxGameState.__new__(BoxGameState)
+        twin.pad = self.pad
+        twin.deficits, twin.destroyed = list(self.deficits), list(self.destroyed)
+        return twin
 
     def deficit(self, i: int) -> int:
         """Unclaimed items of box i, virtual padding included."""
-        real = self.sizes[i] - self.claimed_real[i]
-        virt = self.virtual_pad - self.claimed_virtual[i]
-        return real + virt
+        return self.deficits[i]
 
     def real_deficit(self, i: int) -> int:
-        return self.sizes[i] - self.claimed_real[i]
+        return max(0, self.deficits[i] - self.pad)
 
     def live_incomplete(self) -> list[int]:
-        return [
-            i
-            for i in range(len(self.sizes))
-            if not self.destroyed[i] and self.deficit(i) > 0
-        ]
+        return [i for i, d in enumerate(self.deficits) if d > 0 and not self.destroyed[i]]
 
     def completed_count(self) -> int:
-        return sum(self.completed)
+        return sum(d <= self.pad for d in self.deficits)
 
     def claim(self, i: int) -> str:
         """Claim one item from box i, real before virtual; returns the kind."""
-        assert not self.destroyed[i] and self.deficit(i) > 0
-        if self.real_deficit(i) > 0:
-            self.claimed_real[i] += 1
-            if self.real_deficit(i) == 0:
-                self.completed[i] = True
-            return "real"
-        self.claimed_virtual[i] += 1
-        return "virtual"
+        assert not self.destroyed[i] and self.deficits[i] > 0
+        self.deficits[i] -= 1
+        return "real" if self.deficits[i] >= self.pad else "virtual"
 
     def destroy(self, i: int) -> None:
         self.destroyed[i] = True
@@ -154,11 +130,12 @@ class BoxGameState:
 def box_maker_move(state: BoxGameState, b: int) -> list[tuple[int, str]]:
     """Distribute b claims over the surviving boxes and apply them.
 
-    Allocation, one claim at a time: if some box's whole deficit fits in
-    the remaining budget, finish the smallest such box; otherwise claim
-    from the box with the largest deficit, leveling the boxes down toward
-    equality.  Ties break toward the lowest box index; real items are
-    claimed before virtual ones inside a box.
+    Allocation, one claim at a time: if some box's whole real deficit fits
+    in the remaining budget, claim from the smallest such box until it is
+    finished; otherwise claim from the box with the largest real deficit,
+    leveling the boxes down toward equality; once no live box has real
+    items left, claim a virtual item of the first live box.  Ties break
+    toward the lowest box index.
 
     Balancing is the load-bearing half.  A "fewest unclaimed items first"
     rule loses three boxes of size 3 at b=2 even though the harmonic
@@ -166,34 +143,23 @@ def box_maker_move(state: BoxGameState, b: int) -> list[tuple[int, str]]:
     Keeping the deficits level denies Box-Breaker a preferred target, which
     is exactly what the criterion's harmonic recursion charges for, and the
     exhaustive solver certifies this realization over its whole budget.
-
-    Claims are aimed at real deficits; virtual items only soak up budget
-    once no live box has real items left to take.
     """
     if not state.live_incomplete():
         raise AllDestroyed("no surviving incomplete box")
     claims: list[tuple[int, str]] = []
-    budget = b
-    while budget > 0:
+    for budget in range(b, 0, -1):
         live = state.live_incomplete()
         if not live:
             break
-        real_live = [i for i in live if state.real_deficit(i) > 0]
-        if not real_live:
+        real = [(d - state.pad, i) for i in live if (d := state.deficits[i]) > state.pad]
+        fits = [c for c in real if c[0] <= budget]
+        if fits:
+            i = min(fits)[1]
+        elif real:
+            i = max(real, key=lambda c: (c[0], -c[1]))[1]
+        else:
             i = live[0]
-            claims.append((i, state.claim(i)))
-            budget -= 1
-            continue
-        finishable = [i for i in real_live if state.real_deficit(i) <= budget]
-        if finishable:
-            i = min(finishable, key=lambda j: (state.real_deficit(j), j))
-            for _ in range(state.real_deficit(i)):
-                claims.append((i, state.claim(i)))
-                budget -= 1
-            continue
-        i = max(real_live, key=lambda j: (state.real_deficit(j), -j))
         claims.append((i, state.claim(i)))
-        budget -= 1
     return claims
 
 
@@ -296,21 +262,21 @@ def verify_box_strategy(r: int, k: int, b: int, variant: str = CLASSIC):
     """
     target = 1 if variant == CLASSIC else 2
     pad = 0 if variant == CLASSIC else b
-    claim_ok = [True]
+    claim_ok = True
 
     def maker_then_breaker(state: BoxGameState) -> bool:
+        nonlocal claim_ok
         if state.completed_count() >= target:
             return True
         if not state.live_incomplete():
             return False
         box_maker_move(state, b)
-        if state.virtual_pad and any(
-            not state.destroyed[i] and state.deficit(i) == 0 for i in range(r)
+        # A padded game won on this line: the reduction promises two
+        # complete real boxes.
+        if pad and state.completed_count() < 2 and any(
+            not state.destroyed[i] and state.deficits[i] == 0 for i in range(r)
         ):
-            # Padded game won on this line: the reduction promises two
-            # complete real boxes.
-            if state.completed_count() < 2:
-                claim_ok[0] = False
+            claim_ok = False
         if state.completed_count() >= target:
             return True
         return breaker_branches(state)
@@ -319,12 +285,12 @@ def verify_box_strategy(r: int, k: int, b: int, variant: str = CLASSIC):
         candidates = state.live_incomplete()
         if not candidates:
             return state.completed_count() >= target
+        # Boxes with equal deficits are interchangeable.
         seen = set()
         for i in candidates:
-            sig = (state.real_deficit(i), state.claimed_virtual[i])
-            if sig in seen:
+            if state.deficits[i] in seen:
                 continue
-            seen.add(sig)
+            seen.add(state.deficits[i])
             nxt = state.clone()
             nxt.destroy(i)
             if not maker_then_breaker(nxt):
@@ -336,4 +302,4 @@ def verify_box_strategy(r: int, k: int, b: int, variant: str = CLASSIC):
         won = maker_then_breaker(start)
     else:
         won = breaker_branches(start)
-    return won, claim_ok[0]
+    return won, claim_ok

@@ -378,9 +378,13 @@ class GameRecord:
             isinstance(digests, list) and all(isinstance(d, str) for d in digests)
         ):
             raise ParseError("digests must be a list of strings")
+        try:
+            config = GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed,
+                                early_stop=early_stop, keep_digests=digests is not None)
+        except BadConfig as e:
+            raise ParseError(f"bad config: {e}") from None
         return cls(
-            config=GameConfig(n=n, p=p, q=q, prop=property_from_key(key), seed=seed,
-                              early_stop=early_stop, keep_digests=digests is not None),
+            config=config,
             transcript=transcript,
             winner=winner,
             rounds=rounds,
@@ -546,6 +550,8 @@ def replay(record: GameRecord) -> Board:
     The round count, forfeit and forced round must be the ones the
     transcript's length implies: a game ends after its last recorded
     move, or in the next half-turn when the side due to move forfeits.
+    A side that forfeits does not win, and a verdict is forced only
+    before the board is complete.
     Then one pass over the transcript: roles alternate from Maker, and
     every move is checked and played by the game's rules.  When the
     record carries digests (one per completed round plus the final board)
@@ -565,6 +571,8 @@ def replay(record: GameRecord) -> Board:
         raise CorruptTranscript(
             f"forced_round {record.forced_round} in {rounds} rounds with forfeit {record.forfeit}"
         )
+    if record.forfeit is not None and record.winner == record.forfeit:
+        raise CorruptTranscript(f"{record.winner} wins, but forfeited")
     config = record.config
     board = Board(config.n)
     check_digests = record.digests is not None
@@ -581,4 +589,6 @@ def replay(record: GameRecord) -> Board:
     if check_digests:
         if record.digests != round_digests + [board.digest()]:
             raise CorruptTranscript("per-round digest trace mismatch")
+    if record.forced_round is not None and board.is_tournament():
+        raise CorruptTranscript(f"forced_round {record.forced_round} on a complete board")
     return board

@@ -83,7 +83,7 @@ class BreakerSigmaPotential(Strategy):
         except NoFreeElements:
             slots = []
         if not slots:
-            slots = board.undirected_pairs()[:1]
+            slots = (board.lowest_undirected(),)
         return tuple(slots)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,105 @@ def reference_pipeline_claims(open_items, budget):
         v = max(open_items, key=lambda j: (open_items[j], -j))
         claims.append(v)
         open_items[v] -= 1
+        budget -= 1
+    return claims
+
+
+@dataclass
+class ReferenceBoxGameState:
+    """boxgame.BoxGameState as first written: real and virtual claims,
+    destruction and completion each kept per box."""
+
+    sizes: list[int]
+    virtual_pad: int = 0
+    claimed_real: list[int] = field(default_factory=list)
+    claimed_virtual: list[int] = field(default_factory=list)
+    destroyed: list[bool] = field(default_factory=list)
+    completed: list[bool] = field(default_factory=list)
+
+    def __post_init__(self):
+        r = len(self.sizes)
+        if not self.claimed_real:
+            self.claimed_real = [0] * r
+        if not self.claimed_virtual:
+            self.claimed_virtual = [0] * r
+        if not self.destroyed:
+            self.destroyed = [False] * r
+        if not self.completed:
+            self.completed = [
+                self.sizes[i] - self.claimed_real[i] == 0 and not self.destroyed[i]
+                for i in range(r)
+            ]
+
+    def clone(self):
+        return ReferenceBoxGameState(
+            sizes=list(self.sizes),
+            virtual_pad=self.virtual_pad,
+            claimed_real=list(self.claimed_real),
+            claimed_virtual=list(self.claimed_virtual),
+            destroyed=list(self.destroyed),
+            completed=list(self.completed),
+        )
+
+    def deficit(self, i):
+        real = self.sizes[i] - self.claimed_real[i]
+        virt = self.virtual_pad - self.claimed_virtual[i]
+        return real + virt
+
+    def real_deficit(self, i):
+        return self.sizes[i] - self.claimed_real[i]
+
+    def live_incomplete(self):
+        return [
+            i
+            for i in range(len(self.sizes))
+            if not self.destroyed[i] and self.deficit(i) > 0
+        ]
+
+    def completed_count(self):
+        return sum(self.completed)
+
+    def claim(self, i):
+        assert not self.destroyed[i] and self.deficit(i) > 0
+        if self.real_deficit(i) > 0:
+            self.claimed_real[i] += 1
+            if self.real_deficit(i) == 0:
+                self.completed[i] = True
+            return "real"
+        self.claimed_virtual[i] += 1
+        return "virtual"
+
+    def destroy(self, i):
+        self.destroyed[i] = True
+
+
+def reference_box_maker_move(state, b):
+    """boxgame.box_maker_move as first written, on a ReferenceBoxGameState:
+    a box that fits the budget is finished in one burst of claims.  None
+    when no live box is left to claim from."""
+    if not state.live_incomplete():
+        return None
+    claims = []
+    budget = b
+    while budget > 0:
+        live = state.live_incomplete()
+        if not live:
+            break
+        real_live = [i for i in live if state.real_deficit(i) > 0]
+        if not real_live:
+            i = live[0]
+            claims.append((i, state.claim(i)))
+            budget -= 1
+            continue
+        finishable = [i for i in real_live if state.real_deficit(i) <= budget]
+        if finishable:
+            i = min(finishable, key=lambda j: (state.real_deficit(j), j))
+            for _ in range(state.real_deficit(i)):
+                claims.append((i, state.claim(i)))
+                budget -= 1
+            continue
+        i = max(real_live, key=lambda j: (state.real_deficit(j), -j))
+        claims.append((i, state.claim(i)))
         budget -= 1
     return claims
 

@@ -2,10 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientgames.boxgame import (
     BOX_BREAKER,
     BOX_MAKER,
+    CLASSIC,
+    SOLVE_MAX_B,
+    SOLVE_MAX_K,
+    SOLVE_MAX_R,
+    TWOBOX,
     BoxGameState,
     box_maker_move,
     breaker_bias_threshold,
@@ -16,6 +23,8 @@ from orientgames.boxgame import (
     verify_box_strategy,
 )
 from orientgames.errors import AllDestroyed, BudgetExceeded
+
+from conftest import ReferenceBoxGameState, reference_box_maker_move
 
 BUDGET = [(r, k, b) for r in range(1, 6) for k in range(1, 5) for b in range(1, 4)]
 
@@ -140,3 +149,90 @@ def test_box_maker_move_spends_full_budget():
     st2 = BoxGameState(sizes=[1])
     claims = box_maker_move(st2, 4)  # only one item remains
     assert len(claims) == 1
+
+
+# solve_box_game and verify_box_strategy over the whole solver budget, as
+# first computed: one row per r, one group per k, one letter per b.
+# "M": the solver's winner is Box-Maker and the strategy wins every line;
+# "B": the solver's winner is Box-Breaker and the strategy loses a line;
+# "x": as "B", and on some line a padded win left fewer than two real
+# boxes complete (claim_ok is False).
+BOX_CELLS = {"M": (BOX_MAKER, True, True), "B": (BOX_BREAKER, False, True),
+             "x": (BOX_BREAKER, False, False)}
+BOX_PINS = {
+    CLASSIC: [
+        "MMMM BMMM BBMM BBBM BBBB",
+        "MMMM BMMM BMMM BBMM BBBM",
+        "MMMM BMMM BMMM BBMM BBMM",
+        "MMMM BMMM BMMM BMMM BBMM",
+        "MMMM BMMM BMMM BMMM BBMM",
+        "MMMM BMMM BMMM BMMM BBMM",
+    ],
+    TWOBOX: [
+        "BBBB BBBB BBBB BBBB BBBB",
+        "BBBB BBBB BBBB BBBB BBBB",
+        "xMMM BxxM BBxx BBBx BBBB",
+        "MMMM BMMM BBMM BBxM BBBx",
+        "MMMM BMMM BxMM BBxM BBBM",
+        "MMMM BMMM BMMM BBMM BBxM",
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", [CLASSIC, TWOBOX])
+def test_box_results_pinned(variant):
+    codes = {cell: code for code, cell in BOX_CELLS.items()}
+    got = [
+        " ".join(
+            "".join(
+                codes.get((solve_box_game(r, k, b, variant),)
+                          + verify_box_strategy(r, k, b, variant), "?")
+                for b in range(1, SOLVE_MAX_B + 1)
+            )
+            for k in range(1, SOLVE_MAX_K + 1)
+        )
+        for r in range(1, SOLVE_MAX_R + 1)
+    ]
+    assert got == BOX_PINS[variant]
+
+
+def same_state(state, ref):
+    boxes = range(len(ref.sizes))
+    assert [state.deficit(i) for i in boxes] == [ref.deficit(i) for i in boxes]
+    assert [state.real_deficit(i) for i in boxes] == [ref.real_deficit(i) for i in boxes]
+    assert state.live_incomplete() == ref.live_incomplete()
+    assert state.completed_count() == ref.completed_count()
+
+
+OPS = st.tuples(st.sampled_from(("claim", "destroy", "clone", "move")),
+                st.integers(0, 9), st.integers(0, 99))
+
+
+@settings(max_examples=300)
+@given(sizes=st.lists(st.integers(0, 5), max_size=6), pad=st.integers(0, 4),
+       ops=st.lists(OPS, max_size=30))
+def test_box_state_matches_reference(sizes, pad, ops):
+    # Each op acts on one of the (state, reference) pairs made so far;
+    # "clone" adds a pair, so a clone must not share lists with its source.
+    pairs = [(BoxGameState(list(sizes), pad), ReferenceBoxGameState(list(sizes), pad))]
+    for op, which, x in ops:
+        state, ref = pairs[which % len(pairs)]
+        if op == "claim" and ref.live_incomplete():
+            live = ref.live_incomplete()
+            i = live[x % len(live)]
+            assert state.claim(i) == ref.claim(i)
+        elif op == "destroy" and sizes:
+            state.destroy(x % len(sizes))
+            ref.destroy(x % len(sizes))
+        elif op == "clone":
+            pairs.append((state.clone(), ref.clone()))
+        elif op == "move":
+            b = x % 7 + 1
+            want = reference_box_maker_move(ref, b)
+            if want is None:
+                with pytest.raises(AllDestroyed):
+                    box_maker_move(state, b)
+            else:
+                assert box_maker_move(state, b) == want
+        for state, ref in pairs:
+            same_state(state, ref)

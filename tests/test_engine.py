@@ -374,6 +374,34 @@ def test_replay_rejects_fields_the_transcript_contradicts(name, fields):
         replay(rec)
 
 
+def full_board_record():
+    """A seeded n=4 cycle game played to a tournament in 3 rounds, without
+    early stop."""
+    cfg = GameConfig(n=4, p=1, q=1, prop=Cycle(), seed=14, early_stop=False)
+    rec = play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER))
+    assert replay(rec).is_tournament() and (rec.rounds, rec.forced_round) == (3, None)
+    return rec
+
+
+# (record, fields to overwrite, why replay refuses): endings no game plays.
+ENDINGS = [
+    ("maker-forfeit", {"winner": MAKER}, "forfeited"),
+    ("breaker-forfeit", {"winner": BREAKER}, "forfeited"),
+    ("full-board", {"forced_round": 3}, "complete board"),
+]
+
+
+@pytest.mark.parametrize("name, fields, match", ENDINGS,
+                         ids=["maker-forfeit-wins", "breaker-forfeit-wins",
+                              "forced-on-tournament"])
+def test_replay_rejects_endings_the_transcript_contradicts(name, fields, match):
+    rec = full_board_record() if name == "full-board" else n4_records()[name]
+    doc = json.loads(rec.to_json())
+    doc.update(fields)
+    with pytest.raises(CorruptTranscript, match=match):
+        replay(GameRecord.from_json(json.dumps(doc)))
+
+
 def record_with_arcs(arcs):
     cfg = GameConfig(n=4, p=1, q=2, prop=Cycle(), seed=2, keep_digests=True)
     doc = json.loads(play_game(cfg, RandomStrategy(MAKER), RandomStrategy(BREAKER)).to_json())
@@ -405,12 +433,13 @@ def test_from_json_rejects_bad_arc(arcs):
     lambda d: d.update(digests=[5]),
     lambda d: d.pop("early_stop"), lambda d: d.update(early_stop=0),
     lambda d: d.update(early_stop="false"), lambda d: d.update(early_stop=None),
+    lambda d: d.update(n=0), lambda d: d.update(p=0), lambda d: d.update(q=-1),
 ], ids=["truncated", "list", "number", "format-only", "no-winner", "no-moves", "no-role",
         "str-n", "float-p", "null-q", "bool-seed", "str-rounds", "int-property",
         "moves-object", "move-list", "int-winner", "unknown-winner", "str-forced-round",
         "float-forced-round", "int-forfeit", "unknown-forfeit", "int-forfeit-reason",
         "str-digests", "int-digest", "no-early-stop", "int-early-stop",
-        "str-early-stop", "null-early-stop"])
+        "str-early-stop", "null-early-stop", "zero-n", "zero-p", "negative-q"])
 def test_from_json_rejects_malformed_record(text_or_edit):
     if callable(text_or_edit):
         doc = json.loads(record_with_arcs(["0>1"]))
