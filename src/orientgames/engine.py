@@ -24,7 +24,7 @@ from .oracles import (
     is_strongly_connected,
     k_colorable,
     max_scc_size,
-    reaches,
+    reaches_from,
 )
 
 MAKER = "maker"
@@ -97,10 +97,18 @@ class Cycle(MonotoneProperty):
 
     def forced_after(self, board, new_arcs):
         # The board without new_arcs was acyclic, so a cycle must run
-        # through some new arc u->v and back along a path v ~> u.
+        # through some new arc u->v and back along a path v ~> u.  A run of
+        # consecutive arcs out of one tail u takes one walk from all their
+        # heads.
+        tail, heads = None, 0
         for (u, v) in new_arcs:
-            if reaches(board, v, u):
-                return True
+            if u != tail:
+                if heads and reaches_from(board, heads, tail):
+                    return True
+                tail, heads = u, 0
+            heads |= 1 << v
+        if heads and reaches_from(board, heads, tail):
+            return True
         return False if board.is_tournament() else None
 
 
@@ -551,7 +559,7 @@ def replay(record: GameRecord) -> Board:
     transcript's length implies: a game ends after its last recorded
     move, or in the next half-turn when the side due to move forfeits.
     A side that forfeits does not win, and a verdict is forced only
-    before the board is complete.
+    with early stop on and before the board is complete.
     Then one pass over the transcript: roles alternate from Maker, and
     every move is checked and played by the game's rules.  When the
     record carries digests (one per completed round plus the final board)
@@ -589,6 +597,9 @@ def replay(record: GameRecord) -> Board:
     if check_digests:
         if record.digests != round_digests + [board.digest()]:
             raise CorruptTranscript("per-round digest trace mismatch")
-    if record.forced_round is not None and board.is_tournament():
-        raise CorruptTranscript(f"forced_round {record.forced_round} on a complete board")
+    if record.forced_round is not None:
+        if board.is_tournament():
+            raise CorruptTranscript(f"forced_round {record.forced_round} on a complete board")
+        if not config.early_stop:
+            raise CorruptTranscript(f"forced_round {record.forced_round} without early stop")
     return board

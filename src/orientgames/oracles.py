@@ -127,25 +127,29 @@ def find_cycle(board: Board):
 
 
 def reaches(board: Board, src: int, dst: int) -> bool:
-    """True iff a directed path leads from src to dst (src reaches itself).
+    """True iff a directed path leads from src to dst (src reaches itself)."""
+    return reaches_from(board, 1 << src, dst)
+
+
+def reaches_from(board: Board, sources: int, dst: int) -> bool:
+    """True iff a directed path leads to dst from some vertex of the
+    bitmask sources (a source reaches itself).
 
     Breadth-first over the out-neighbour masks, a whole frontier per step:
     the frontier's masks are ORed into the next frontier, and the search
     stops as soon as dst's bit appears.
     """
-    if src == dst:
-        return True
     out_mask = board.out_mask
     target = 1 << dst
-    seen = frontier = 1 << src
+    seen = frontier = sources
     while frontier:
+        if frontier & target:
+            return True
         reach = 0
         while frontier:
             bit = frontier & -frontier
             frontier ^= bit
             reach |= out_mask(bit.bit_length() - 1)
-        if reach & target:
-            return True
         frontier = reach & ~seen
         seen |= reach
     return False

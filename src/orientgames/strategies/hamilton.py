@@ -183,10 +183,16 @@ class DangerLedger:
         deg[i] += 1
         deg[self.n + j] += 1
 
-    def breaker_oriented(self, u: int, v: int):
-        """Breaker (or a mirror) put u->v on the board: edge (v, u) is his."""
-        if self.estat[v, u] == E_FREE:
-            self._mark(v, u, E_BREAKER)
+    def breaker_move(self, move):
+        """Breaker put the move's arcs u->v on the board: each edge (v, u)
+        still free is his.  A move's heads and tails can repeat, so the
+        degrees are counted with np.add.at."""
+        arcs = np.array(move, dtype=np.intp)
+        tails, heads = arcs[:, 0], arcs[:, 1]
+        free = self.estat[heads, tails] == E_FREE
+        tails, heads = tails[free], heads[free]
+        self.estat[heads, tails] = E_BREAKER
+        np.add.at(self.deg_b, np.concatenate((heads, tails + self.n)), 1)
 
     def maker_claim(self, i: int, j: int) -> str:
         """Claim edge (i, j) for Maker; classify what the claim is worth.
@@ -298,10 +304,12 @@ class TemplateCutEngine:
         # (a_mem) or in B (b_mem), so one arc's update reads two rows.
         self.a_mem = np.zeros((n, budget), dtype=bool)
         self.b_mem = np.zeros((n, budget), dtype=bool)
-        for s in range(budget):
-            perm = rng.permutation(n)
-            self.a_mem[perm[:k], s] = True
-            self.b_mem[perm[k : 2 * k], s] = True
+        # Row s is sample s's permutation, drawn as rng.permutation(n) would.
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.uint16), (budget, 1)), axis=1)
+        cols = np.arange(budget)[:, None]
+        self.a_mem[perms[:, :k], cols] = True
+        self.b_mem[perms[:, k : 2 * k], cols] = True
+        del perms  # freed before the float32 products below, which set the peak
         a = self.a_mem.astype(np.float32)
         open_slots = (self.tstar & self.und).astype(np.float32)
         self.rem = np.rint(((open_slots.T @ a) * self.b_mem).sum(axis=0)).astype(np.int64)
@@ -412,8 +420,7 @@ class MakerHamilton(Strategy):
     def observe(self, board, role, move):
         if self.stage == 1:
             if role == BREAKER:
-                for (u, v) in move:
-                    self.ledger.breaker_oriented(u, v)
+                self.ledger.breaker_move(move)
         elif self.cut_engine is not None:
             for (u, v) in move:
                 self.cut_engine.observe_arc(u, v)

@@ -139,13 +139,9 @@ class BreakerOutStar(Strategy):
                 last = move
                 break
         arcs = []
-        taken = set()
         if last is not None:
-            for (u, _v) in last:
-                for w in board.undirected_neighbors(u):
-                    if (u, w) not in taken:
-                        arcs.append((u, w))
-                        taken.add((u, w))
+            for u in dict.fromkeys(u for (u, _v) in last):
+                arcs.extend((u, w) for w in board.undirected_neighbors(u))
         if len(arcs) > self.config.q:
             arcs = arcs[: self.config.q]
         if not arcs:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 
-from ..board import Board, pair_index
+from ..board import Board
 from ..engine import BREAKER, MAKER, Strategy
 
 
@@ -23,17 +23,22 @@ class _FreePairList:
         self.pos = list(range(len(self.pairs)))
 
     def remove(self, u: int, v: int):
+        # pair_index(n, u, v), written out: this runs once per drawn pair.
         if u > v:
             u, v = v, u
-        k = pair_index(self.n, u, v)
-        i = self.pos[k]
+        m = 2 * self.n - 1
+        pos = self.pos
+        k = u * (m - u) // 2 + v - u - 1
+        i = pos[k]
         if i < 0:
             return
-        self.pos[k] = -1
-        last = self.pairs.pop()
-        if i < len(self.pairs):
-            self.pairs[i] = last
-            self.pos[pair_index(self.n, *last)] = i
+        pos[k] = -1
+        pairs = self.pairs
+        last = pairs.pop()
+        if i < len(pairs):
+            pairs[i] = last
+            a, b = last
+            pos[a * (m - a) // 2 + b - a - 1] = i
 
     def sample(self, rng):
         return self.pairs[rng.randrange(len(self.pairs))]
@@ -54,6 +59,9 @@ class RandomStrategy(Strategy):
         self.free = _FreePairList(config.n)
 
     def observe(self, board, role, move):
+        # next_move already took its own pairs off the list.
+        if role == self.role:
+            return
         for (u, v) in move:
             self.free.remove(u, v)
 

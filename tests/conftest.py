@@ -14,12 +14,14 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
 from orientgames.engine import BREAKER, MAKER, GameConfig, forced_verdict, strategy_rng
+from orientgames.strategies.hamilton import E_BREAKER, E_FREE
 
 # Property tests draw the same examples on every run, so a Tier-1 result
 # never depends on which examples a run happened to try; no deadline,
@@ -303,6 +305,31 @@ class ReferenceFreePairList:
 
     def __len__(self):
         return len(self.pairs)
+
+
+def reference_breaker_oriented(ledger, move):
+    """DangerLedger's Breaker update as first written: one arc at a time,
+    each arc u->v giving Breaker the bipartite edge (v, u) if still free."""
+    for (u, v) in move:
+        if ledger.estat[v, u] == E_FREE:
+            ledger.estat[v, u] = E_BREAKER
+            ledger.deg_b[v] += 1
+            ledger.deg_b[ledger.n + u] += 1
+
+
+def reference_sampled_membership(n, k, seed, budget=4096):
+    """TemplateCutEngine's sampled cut membership as first written: one
+    rng.permutation(n) per sample, A its first k vertices, B the next k.
+    Takes an int seed, split into two 32-bit words as the engine does."""
+    rng = np.random.default_rng([k, budget, seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF])
+    budget = budget if 2 * k <= n else 0
+    a_mem = np.zeros((n, budget), dtype=bool)
+    b_mem = np.zeros((n, budget), dtype=bool)
+    for s in range(budget):
+        perm = rng.permutation(n)
+        a_mem[perm[:k], s] = True
+        b_mem[perm[k : 2 * k], s] = True
+    return a_mem, b_mem
 
 
 def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):

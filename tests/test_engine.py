@@ -388,12 +388,13 @@ ENDINGS = [
     ("maker-forfeit", {"winner": MAKER}, "forfeited"),
     ("breaker-forfeit", {"winner": BREAKER}, "forfeited"),
     ("full-board", {"forced_round": 3}, "complete board"),
+    ("early", {"early_stop": False}, "without early stop"),
 ]
 
 
 @pytest.mark.parametrize("name, fields, match", ENDINGS,
                          ids=["maker-forfeit-wins", "breaker-forfeit-wins",
-                              "forced-on-tournament"])
+                              "forced-on-tournament", "forced-without-early-stop"])
 def test_replay_rejects_endings_the_transcript_contradicts(name, fields, match):
     rec = full_board_record() if name == "full-board" else n4_records()[name]
     doc = json.loads(rec.to_json())
@@ -502,6 +503,17 @@ def test_from_json_reads_format_1_with_early_stop_on():
     del doc["early_stop"]
     back = GameRecord.from_json(json.dumps(doc))
     assert back.config == GameConfig(n=5, p=1, q=2, prop=Cycle(), seed=3, early_stop=True)
+
+
+def test_replay_reads_format_1_forced_round_as_early_stop():
+    # /1 records carry no early_stop; they were played with it on, so a
+    # forced_round there is one that play_game recorded.
+    doc = json.loads(n4_records()["early"].to_json())
+    doc["format"] = "orientgames-record/1"
+    del doc["early_stop"]
+    back = GameRecord.from_json(json.dumps(doc))
+    assert back.forced_round is not None
+    assert replay(back) == replay(n4_records()["early"])
 
 
 def test_same_seed_same_game():

@@ -36,6 +36,7 @@ from orientgames.oracles import (
     k_colorable,
     max_scc_size,
     reaches,
+    reaches_from,
 )
 
 from conftest import all_tournaments, boards, random_oriented_graph
@@ -238,6 +239,59 @@ def test_forced_after_matches_full_verdict(prop, data):
         board.orient(*arc)
     assert forced_verdict(board, prop, batch) is forced_verdict(board, prop), (
         parent.to_text(), batch)
+
+
+@st.composite
+def undecided_board_and_star_batch(draw, prop):
+    """A board on 3..10 vertices forcing nothing for prop, and a batch
+    shaped like out-star moves: one to three tails, each orienting some of
+    its undirected pairs away from it, cut into runs that may interleave
+    (tail a, then b, then a again).  Also returns the runs, as (tail,
+    heads)."""
+    n = draw(st.integers(3, 10))
+    board = Board(n)
+    for (u, v) in all_pairs(n):
+        s = draw(st.sampled_from([0, 0, 1, -1]))
+        if s:
+            b2 = board.copy()
+            b2.orient(*((u, v) if s == 1 else (v, u)))
+            if forced_verdict(b2, prop) is None:
+                board = b2
+    open_tails = [v for v in range(n) if board.undirected_neighbors(v)]
+    tails = draw(st.lists(st.sampled_from(open_tails), min_size=1, max_size=3, unique=True))
+    used = set()
+    runs = []
+    for t in tails:
+        free = [w for w in board.undirected_neighbors(t) if frozenset((t, w)) not in used]
+        heads = draw(st.permutations(free))
+        heads = heads[: draw(st.integers(min(1, len(heads)), len(heads)))]
+        used.update(frozenset((t, w)) for w in heads)
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(heads) - 1)), max_size=2)))
+        bounds = [0] + [c for c in cuts if c < len(heads)] + [len(heads)]
+        runs += [(t, heads[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a]
+    runs = draw(st.permutations(runs))
+    batch = tuple((t, h) for t, heads in runs for h in heads)
+    return board, batch, runs
+
+
+@pytest.mark.parametrize("prop", PROPS, ids=lambda p: p.key())
+@settings(max_examples=150)
+@given(data=st.data())
+def test_forced_after_matches_full_verdict_on_star_batches(prop, data):
+    # The out-star Breaker's moves: many arcs out of few tails.  The cycle
+    # verdict walks once per run of one tail, from all of the run's heads.
+    parent, batch, runs = data.draw(undecided_board_and_star_batch(prop))
+    assert forced_verdict(parent, prop) is None
+    board = parent.copy()
+    for arc in batch:
+        board.orient(*arc)
+    assert forced_verdict(board, prop, batch) is forced_verdict(board, prop), (
+        parent.to_text(), batch)
+    for _tail, heads in runs:
+        found = set().union(*(bfs_reachable(board, h) for h in heads))
+        mask = sum(1 << h for h in heads)
+        for dst in range(board.n):
+            assert reaches_from(board, mask, dst) is (dst in found), (heads, dst, board.to_text())
 
 
 # ---------------------------------------------------------------------------

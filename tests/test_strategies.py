@@ -53,13 +53,22 @@ from orientgames.strategies import (
     TemplateCutEngine,
     audit_template,
     build_strategy,
+    default_expansion_size,
     generate_template,
     potential_blocker_move,
 )
+from orientgames.solver import verify_strategy_vs_all
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
 from orientgames.strategies.random_play import _FreePairList
 
-from conftest import ReferenceFreePairList, back_arcs, boards, reference_pipeline_claims
+from conftest import (
+    ReferenceFreePairList,
+    back_arcs,
+    boards,
+    reference_breaker_oriented,
+    reference_pipeline_claims,
+    reference_sampled_membership,
+)
 
 # Lexicographically first strongly connected 5-vertex tournament with
 # FAS = 2, frozen from an exhaustive scan (no 4-vertex oriented graph
@@ -370,8 +379,7 @@ def test_danger_value_example():
     # danger by 2b: 5 - 2*2*1 = 1.
     led = DangerLedger(8, bias=2)
     v = 3
-    for j in (0, 1, 2, 4, 5):
-        led.breaker_oriented(v, j)
+    led.breaker_move([(v, j) for j in (0, 1, 2, 4, 5)])
     assert led.deg_b[8 + v] == 5
     led.maker_claim(6, v)  # orient 6->v: an in-arc for v
     assert led.deg_m[8 + v] == 1
@@ -381,14 +389,14 @@ def test_danger_value_example():
 def test_danger_monotonicity_invariant():
     led = DangerLedger(6, bias=3)
     before = [led.danger(v) for v in range(12)]
-    led.breaker_oriented(0, 1)  # blocker-side claim
+    led.breaker_move([(0, 1)])  # blocker-side claim
     after = [led.danger(v) for v in range(12)]
     assert all(a >= b for a, b in zip(after, before))
 
     # A bookkeeping Maker claim (mirror already Breaker's) drops the
     # claimed edge's endpoints by exactly 2b and raises nobody.
     led2 = DangerLedger(6, bias=3)
-    led2.breaker_oriented(0, 2)  # arc 0->2: edge (2, 0) joins Breaker's graph
+    led2.breaker_move([(0, 2)])  # arc 0->2: edge (2, 0) joins Breaker's graph
     before = [led2.danger(v) for v in range(12)]
     kind = led2.maker_claim(0, 2)  # mirror (2, 0) is Breaker's: bookkeeping
     assert kind == "extra"
@@ -467,10 +475,61 @@ def test_pick_vertex_matches_scalar_rule(data):
             if led.estat[i, j] == E_FREE:
                 led.maker_claim(i, j)
         elif i != j:
-            led.breaker_oriented(i, j)
+            led.breaker_move([(i, j)])
     starved = data.draw(st.sets(st.integers(0, 2 * n - 1)), label="starved")
     led.starved[list(starved)] = True
     assert led.pick_vertex() == _scalar_pick(led)
+
+
+@st.composite
+def ledger_and_breaker_move(draw):
+    """A DangerLedger after random Maker claims and Breaker arcs, and a
+    Breaker move on distinct pairs: an out-star, an in-star (one head
+    repeated) or pairs in any direction.  Mirror edges the earlier steps
+    took stay taken, so some arcs of the move find their edge gone."""
+    n = draw(st.integers(2, 9), label="n")
+    led = DangerLedger(n, draw(st.integers(1, 3), label="bias"))
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=2 * n * n), label="steps")
+    for maker, i, j in steps:
+        if maker:
+            if led.estat[i, j] == E_FREE:
+                led.maker_claim(i, j)
+        elif i != j:
+            reference_breaker_oriented(led, [(i, j)])
+    hub = draw(st.integers(0, n - 1), label="hub")
+    others = [w for w in range(n) if w != hub]
+    shape = draw(st.sampled_from(["out-star", "in-star", "any"]), label="shape")
+    if shape == "any":
+        pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                              min_size=1, unique=True), label="pairs")
+        move = [(u, v) if draw(st.booleans()) else (v, u) for (u, v) in pairs]
+    else:
+        ws = draw(st.lists(st.sampled_from(others), min_size=1, unique=True), label="ws")
+        move = [(hub, w) if shape == "out-star" else (w, hub) for w in ws]
+    return led, move
+
+
+@settings(max_examples=300)
+@given(ledger_and_breaker_move())
+def test_breaker_move_matches_per_arc_reference(case):
+    led, move = case
+    ref = copy.deepcopy(led)
+    led.breaker_move(move)
+    reference_breaker_oriented(ref, move)
+    assert np.array_equal(led.estat, ref.estat)
+    assert np.array_equal(led.deg_m, ref.deg_m)
+    assert np.array_equal(led.deg_b, ref.deg_b)
+
+
+def test_breaker_move_counts_repeated_heads_and_skips_taken_edges():
+    # An in-star into 0 repeats head 0; Maker's claim (0, 2) took the
+    # edge that arc 2->0 would give Breaker.
+    led = DangerLedger(4, bias=1)
+    led.maker_claim(0, 2)
+    led.breaker_move([(1, 0), (2, 0), (3, 0)])
+    assert led.deg_b[0] == 2 and led.deg_b[4 + 1] == 1 and led.deg_b[4 + 2] == 0
+    assert led.deg_b[4 + 3] == 1 and led.estat[0, 2] == E_MAKER
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +912,46 @@ def test_greedy_star_matches_reference_rule(data):
 # ---------------------------------------------------------------------------
 
 
+class CheckedRandom(RandomStrategy):
+    """RandomStrategy that checks its free list against the board after
+    every half-turn it observes, its own and the opponent's."""
+
+    def start(self, config, rng):
+        super().start(config, rng)
+        self.checks = 0
+
+    def observe(self, board, role, move):
+        super().observe(board, role, move)
+        assert sorted(self.free.pairs) == board.undirected_pairs(), (role, move)
+        self.checks += 1
+
+
+@pytest.mark.parametrize("opponent, n, q", [
+    ("breaker-random", 9, 3), ("breaker-outstar", 9, 7), ("breaker-greedy-star", 9, 4),
+    ("breaker-random", 30, 11),
+])
+@pytest.mark.parametrize("seed", range(3))
+def test_random_free_list_tracks_the_board(opponent, n, q, seed):
+    # next_move takes its own pairs off the list and observe skips them, so
+    # the list must still be exactly the board's undirected pairs.
+    cfg = GameConfig(n=n, p=1, q=q, prop=Cycle(), seed=seed, early_stop=False)
+    maker = CheckedRandom(MAKER)
+    breaker = CheckedRandom(BREAKER) if opponent == "breaker-random" else build_strategy(opponent)
+    rec = play_game(cfg, maker, breaker)
+    assert rec.forfeit is None and maker.checks == len(rec.transcript)
+    if opponent == "breaker-random":
+        assert breaker.checks == len(rec.transcript)
+
+
+@pytest.mark.parametrize("role, p, q", [(MAKER, 3, 2), (BREAKER, 1, 2)])
+def test_random_free_list_tracks_the_board_in_the_verifier(role, p, q):
+    # The verifier copies the strategy at each branch and shows it both
+    # sides' moves; every copy's list must match its own board.
+    res = verify_strategy_vs_all(lambda: CheckedRandom(role), role, 5 if role == MAKER else 4,
+                                 p, q, Cycle())
+    assert res.nodes > 0
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_free_pair_list_matches_reference(data):
@@ -874,6 +973,17 @@ def test_free_pair_list_matches_reference(data):
             fast.remove(*step)
             ref.remove(*step)
         assert fast.pairs == ref.pairs and len(fast) == len(ref)
+
+
+@pytest.mark.parametrize("n, k, seed", [(12, 3, 0), (12, 7, 1), (40, 8, 5), (400, 53, 2**40 + 7),
+                                         (400, default_expansion_size(400), 0)])
+def test_sampled_cuts_match_per_sample_permutations(n, k, seed):
+    # One permuted() over all rows draws what a permutation() per row drew;
+    # (12, 7) has no two disjoint 7-sets, so no samples.
+    tstar = generate_template(n, seed, audit_samples=0, k=k)
+    engine = TemplateCutEngine(Board(n), tstar, k, threat_bias=3, seed=seed)
+    a_mem, b_mem = reference_sampled_membership(n, k, seed)
+    assert np.array_equal(engine.a_mem, a_mem) and np.array_equal(engine.b_mem, b_mem)
 
 
 def test_stage2_config_formulas():
