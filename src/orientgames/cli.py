@@ -254,7 +254,7 @@ def cmd_solve(args) -> int:
     result = solve_orientation_game(args.n, args.p, args.q, prop)
     rate = result.nodes / max(time.perf_counter() - t0, 1e-9)
     print(f"winner: {result.winner}  nodes: {result.nodes}  memo hits: {result.memo_hits}"
-          f"  memo size: {result.memo_size}  nodes/s: {rate:.0f}")
+          f"  memo size: {result.memo_size}  decided: {result.decided}  nodes/s: {rate:.0f}")
     if args.pv:
         for role, move in result.pv:
             arcs = " ".join(f"{u}>{v}" for (u, v) in move)

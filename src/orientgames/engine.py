@@ -25,6 +25,7 @@ from .oracles import (
     k_colorable,
     max_scc_size,
     reaches_from,
+    topological_order,
 )
 
 MAKER = "maker"
@@ -49,7 +50,9 @@ class Property:
 
     ``holds`` judges the board's arcs, ``forced`` tells whether a partial
     board already fixes the verdict, ``forced_after`` does the same given
-    that the board without the newest arcs fixed nothing.  The exact
+    that the board without the newest arcs fixed nothing, and
+    ``decided_within`` finds a move that lets the side to move force its
+    verdict within the arcs left in its turn.  The exact
     solver's size and bias budget is one for every property
     (``solver.SOLVER_MAX_N``, ``solver.SOLVER_MAX_BIAS``).
 
@@ -75,6 +78,14 @@ class Property:
         """``forced(board)``, given that the board without new_arcs forced
         nothing; a property with no cheaper check judges from scratch."""
         return self.forced(board)
+
+    def decided_within(self, board: Board, mover: str, budget: int):
+        """A move of 1..budget arcs after which ``forced`` gives the mover's
+        verdict (True for Maker, False for Breaker), or None: sound, not
+        complete.  The board must force nothing and budget be at least 1.
+        The exact solver asks it before expanding a node; by default no
+        move is known."""
+        return None
 
 
 class MonotoneProperty(Property):
@@ -111,6 +122,34 @@ class Cycle(MonotoneProperty):
             return True
         return False if board.is_tournament() else None
 
+    def decided_within(self, board, mover, budget):
+        # The board forces nothing, so it is acyclic.  Breaker with a
+        # budget for every open pair orients them all along a topological
+        # order.  Maker closes a cycle with one arc v->u wherever an open
+        # pair {u, v} has a path u ~> v.  A shortest such path has two
+        # arcs u->w->v: on a longer one the pair {u, x2} is open, or
+        # oriented u->x2, which shortens it.  And for any u->w->v, v->u
+        # would close a cycle, so {u, v} is open exactly when u->v is not.
+        n = board.n
+        if mover == BREAKER:
+            if budget < board.undirected_count:
+                return None
+            rank = [0] * n
+            for i, v in enumerate(topological_order(board)):
+                rank[v] = i
+            return tuple((u, v) if rank[u] < rank[v] else (v, u)
+                         for (u, v) in board.undirected_pairs())
+        out_mask = board.out_mask
+        for u in range(n):
+            outs = m = out_mask(u)
+            while m:
+                bit = m & -m
+                m ^= bit
+                beyond = out_mask(bit.bit_length() - 1) & ~outs
+                if beyond:
+                    return (((beyond & -beyond).bit_length() - 1, u),)
+        return None
+
 
 @dataclass(frozen=True)
 class Hamiltonicity(MonotoneProperty):
@@ -129,6 +168,21 @@ class Hamiltonicity(MonotoneProperty):
             return False
         return super().forced(board)
 
+    def decided_within(self, board, mover, budget):
+        # Breaker points every open pair of a vertex out of it, or into
+        # it, once its arcs so far all point that way.
+        if mover != BREAKER:
+            return None
+        n = board.n
+        outs, ins = board.degrees()
+        for v in range(n):
+            if n - 1 - outs[v] - ins[v] <= budget:
+                if not ins[v]:
+                    return tuple((v, w) for w in board.undirected_neighbors(v))
+                if not outs[v]:
+                    return tuple((w, v) for w in board.undirected_neighbors(v))
+        return None
+
 
 @dataclass(frozen=True)
 class MinInDegreePositive(MonotoneProperty):
@@ -144,6 +198,32 @@ class MinInDegreePositive(MonotoneProperty):
         if n > 1 and n - 1 in board.degrees()[0]:
             return False
         return super().forced(board)
+
+    def decided_within(self, board, mover, budget):
+        # Breaker points every open pair of an in-degree-0 vertex out of
+        # it.  Maker gives each in-degree-0 vertex an arc in, each on its
+        # own pair, chosen greedily.
+        n = board.n
+        outs, ins = board.degrees()
+        zeros = [v for v in range(n) if not ins[v]]
+        if mover == BREAKER:
+            for v in zeros:
+                if n - 1 - outs[v] <= budget:
+                    return tuple((v, w) for w in board.undirected_neighbors(v))
+            return None
+        if len(zeros) > budget:
+            return None
+        move = []
+        used = set()  # (head, tail) of each arc chosen so far
+        for v in zeros:
+            for w in board.undirected_neighbors(v):
+                if (w, v) not in used:
+                    used.add((v, w))
+                    move.append((w, v))
+                    break
+            else:
+                return None
+        return tuple(move)
 
 
 @dataclass(frozen=True)

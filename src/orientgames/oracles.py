@@ -126,6 +126,27 @@ def find_cycle(board: Board):
     return None
 
 
+def topological_order(board: Board):
+    """The vertices in an order with every arc pointing forward, or None
+    if the board has a cycle (Kahn's algorithm over the out-neighbour
+    masks)."""
+    indeg = board.degrees()[1]
+    ready = [v for v in range(board.n) if not indeg[v]]
+    order = []
+    while ready:
+        v = ready.pop()
+        order.append(v)
+        m = board.out_mask(v)
+        while m:
+            bit = m & -m
+            m ^= bit
+            w = bit.bit_length() - 1
+            indeg[w] -= 1
+            if not indeg[w]:
+                ready.append(w)
+    return order if len(order) == board.n else None
+
+
 def reaches(board: Board, src: int, dst: int) -> bool:
     """True iff a directed path leads from src to dst (src reaches itself)."""
     return reaches_from(board, 1 << src, dst)

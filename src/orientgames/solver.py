@@ -6,8 +6,14 @@ single orientations plus a voluntary end-of-turn (legal once at least one
 arc is down); the opponent never observes mid-turn states, so this is
 value-preserving and lets transpositions collapse.  Monotone properties
 cut whole subtrees via forced verdicts, each judged from the arc the node
-was entered through.  One step order, ``first_step``'s, serves the
-search and the principal variation.  Every property is solved up to
+was entered through.  A node the memo does not hold first asks the
+property for a settling move (``Property.decided_within``): arcs the side
+to move can still play this turn after which the verdict is forced its
+way.  If there is one, the node is the mover's win without expanding a
+child; it is stored in the memo like any other value, so the values, and
+with them the winners and principal variations, are those of the full
+search.  One step order, ``first_step``'s, serves the search and the
+principal variation.  Every property is solved up to
 ``SOLVER_MAX_N`` vertices and bias ``SOLVER_MAX_BIAS``, one budget for
 all of them.  The strategy verifier expands every opponent turn and
 deep-copies the strategy only on branches where it is about to move.
@@ -27,7 +33,7 @@ from .engine import (
     other,
     strategy_rng,
 )
-from .errors import BudgetExceeded, SizeMismatch
+from .errors import BadConfig, BudgetExceeded, SizeMismatch
 
 SOLVER_MAX_N = 6
 SOLVER_MAX_BIAS = 3
@@ -42,11 +48,14 @@ class SolveResult:
     pv: list  # principal variation as (role, move) pairs
     memo_hits: int
     memo_size: int  # memo entries, one per (board class, mover, budget, opened)
+    decided: int  # memo misses settled by Property.decided_within
 
 
 def solve_orientation_game(n: int, p: int, q: int, prop,
                            start_board: Board | None = None) -> SolveResult:
     """Exact winner of the (p:q) orientation game under optimal play."""
+    if p < 1 or q < 1:
+        raise BadConfig("both biases must be >= 1")
     if start_board is not None and start_board.n != n:
         raise SizeMismatch(f"start board has {start_board.n} vertices, game has {n}")
     if n > SOLVER_MAX_N or p > SOLVER_MAX_BIAS or q > SOLVER_MAX_BIAS:
@@ -57,7 +66,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
     board = start_board.copy() if start_board is not None else Board(n)
     memo: dict = {}
     iso_keys: dict = {}  # raw board -> isomorphism key, for this solve only
-    stats = {"nodes": 0, "hits": 0}
+    stats = {"nodes": 0, "hits": 0, "decided": 0}
 
     def search(mover: str, budget: int, opened: bool, new_arcs=None) -> bool:
         """True iff Maker wins from here with mover to continue the turn.
@@ -81,7 +90,11 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
             stats["hits"] += 1
             return hit
         want = mover == MAKER
-        result = want if first_step(mover, budget, opened, want) is not None else not want
+        if budget > 0 and prop.decided_within(board, mover, budget) is not None:
+            stats["decided"] += 1
+            result = want
+        else:
+            result = want if first_step(mover, budget, opened, want) is not None else not want
         memo[key] = result
         return result
 
@@ -109,6 +122,7 @@ def solve_orientation_game(n: int, p: int, q: int, prop,
         pv=[],
         memo_hits=stats["hits"],
         memo_size=len(memo),
+        decided=stats["decided"],
     )
 
     # Principal variation: follow first_step along the game values, which

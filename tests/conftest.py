@@ -20,7 +20,14 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
-from orientgames.engine import BREAKER, MAKER, GameConfig, forced_verdict, strategy_rng
+from orientgames.engine import (
+    BREAKER,
+    MAKER,
+    GameConfig,
+    Property,
+    forced_verdict,
+    strategy_rng,
+)
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE
 
 # Property tests draw the same examples on every run, so a Tier-1 result
@@ -503,3 +510,20 @@ def kahn_topological_order(board):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+def disable_settling_moves(monkeypatch):
+    """No property knows a settling move: the exact search as it was before
+    Property.decided_within, which expands every node it does not judge
+    forced or find in the memo."""
+    todo = [Property]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if "decided_within" in vars(cls):
+            monkeypatch.setattr(cls, "decided_within", Property.decided_within)
+
+
+@pytest.fixture
+def settling_moves_off(monkeypatch):
+    disable_settling_moves(monkeypatch)

@@ -219,12 +219,31 @@ def test_solve_command_and_cache(tmp_path, capsys):
     assert "cached" in capsys.readouterr().out
 
 
-def test_solve_prints_memo_size_and_rate(capsys):
+def test_solve_prints_memo_size_and_rate(capsys, settling_moves_off):
     assert run(["solve", "--n", "4", "--p", "1", "--q", "2", "--property", "cycle"]) == 0
     out = capsys.readouterr().out
     m = re.fullmatch(r"winner: breaker  nodes: 76  memo hits: 21  memo size: 37"
-                     r"  nodes/s: ([0-9]+)\n", out)
+                     r"  decided: 0  nodes/s: ([0-9]+)\n", out)
     assert m and int(m.group(1)) > 0, out
+
+
+def test_solve_prints_nodes_settled_by_a_settling_move(capsys):
+    assert run(["solve", "--n", "4", "--p", "1", "--q", "2", "--property", "cycle"]) == 0
+    out = capsys.readouterr().out
+    m = re.fullmatch(r"winner: breaker  nodes: 60  memo hits: 21  memo size: 33"
+                     r"  decided: 7  nodes/s: ([0-9]+)\n", out)
+    assert m and int(m.group(1)) > 0, out
+    assert run(["solve", "--n", "6", "--q", "3", "--property", "hamiltonicity"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "winner: breaker  nodes: 2130  memo hits: 580  memo size: 919  decided: 185  ")
+
+
+@pytest.mark.parametrize("bias", [["--p", "0"], ["--q", "0"], ["--q", "-1"]])
+def test_solve_refuses_a_bias_below_one(capsys, bias):
+    assert run(["solve", "--n", "4", *bias, "--property", "cycle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: both biases must be >= 1\n"
+    assert captured.out == ""
 
 
 def test_solve_cache_survives_failed_write(tmp_path, monkeypatch, capsys):
@@ -244,7 +263,7 @@ def test_solve_cache_survives_failed_write(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
-def test_solve_budget_exit_code(capsys):
+def test_solve_budget_exit_code(capsys, settling_moves_off):
     # One size cap for every property: n=7 is past it, n=6 is solved.
     for key in ["cycle", "hamiltonicity", "hamilton", "min-indegree-positive",
                 "min-indegree", "ck:3", "nonkcol:2", "contains:3:0>1,1>2,2>0"]:

@@ -23,6 +23,7 @@ from orientgames.oracles import (
     is_strongly_connected,
     k_colorable,
     scc_sizes,
+    topological_order,
 )
 
 from conftest import (
@@ -99,6 +100,17 @@ def test_find_cycle_agrees_with_topological_order(rng):
         b = random_oriented_graph(rng.randint(2, 10), rng, density=rng.random())
         has_cycle = find_cycle(b) is not None
         assert has_cycle == (kahn_topological_order(b) is None)
+
+
+@settings(max_examples=300)
+@given(board=boards(9, False))
+def test_topological_order_points_every_arc_forward(board):
+    order = topological_order(board)
+    assert (order is None) == (kahn_topological_order(board) is None)
+    if order is not None:
+        assert sorted(order) == list(range(board.n))
+        rank = {v: i for i, v in enumerate(order)}
+        assert all(rank[u] < rank[v] for (u, v) in board.arcs())
 
 
 def test_strong_connectivity_trivials():

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from orientgames.board import Board, all_pairs
 from orientgames.engine import (
+    BREAKER,
+    MAKER,
     ContainsH,
     Cycle,
     CycleLengthK,
@@ -292,6 +294,85 @@ def test_forced_after_matches_full_verdict_on_star_batches(prop, data):
         mask = sum(1 << h for h in heads)
         for dst in range(board.n):
             assert reaches_from(board, mask, dst) is (dst in found), (heads, dst, board.to_text())
+
+
+# ---------------------------------------------------------------------------
+# A settling move is legal within the turn and forces the mover's verdict
+# ---------------------------------------------------------------------------
+
+# The properties that know a settling move, and for which sides.
+SETTLERS = {
+    "cycle": (MAKER, BREAKER),
+    "min-indegree-positive": (MAKER, BREAKER),
+    "hamiltonicity": (BREAKER,),
+}
+
+
+@st.composite
+def undecided_board(draw, prop, max_n=7):
+    """A board on 2..max_n vertices forcing nothing for prop.  Pairs are
+    tried in a drawn order, each left open or oriented either way; an arc
+    that would force a verdict is left out, so dense boards sit just short
+    of a decision."""
+    n = draw(st.integers(2, max_n))
+    states = st.sampled_from([0] * draw(st.integers(0, 3)) + [1, -1])
+    board = Board(n)
+    for (u, v) in draw(st.permutations(list(all_pairs(n)))):
+        s = draw(states)
+        if s:
+            b2 = board.copy()
+            b2.orient(*((u, v) if s == 1 else (v, u)))
+            if forced_verdict(b2, prop) is None:
+                board = b2
+    return board
+
+
+def settles(prop, board, mover, budget):
+    """Whether decided_within names a move; if so it must be legal at the
+    budget and leave a board that forces the mover's verdict."""
+    move = prop.decided_within(board, mover, budget)
+    if move is None:
+        return False
+    after = board.copy()
+    assert after.apply_checked(move, budget) is None, (board.to_text(), mover, budget, move)
+    assert prop.forced(after) is (mover == MAKER), (board.to_text(), mover, budget, move)
+    return True
+
+
+@pytest.mark.parametrize("prop", PROPS, ids=lambda p: p.key())
+@settings(max_examples=150)
+@given(data=st.data())
+def test_settling_move_is_legal_and_forces_the_movers_verdict(prop, data):
+    board = data.draw(undecided_board(prop))
+    assert forced_verdict(board, prop) is None
+    for mover in (MAKER, BREAKER):
+        for budget in (1, 2, 3):
+            settled = settles(prop, board, mover, budget)
+            assert not settled or mover in SETTLERS.get(prop.key(), ())
+
+
+def test_every_settling_rule_fires(rng):
+    # The rules are sound (above) and not idle: each one names a move on
+    # many undecided boards, and a bigger budget never loses a move.
+    fired = {}
+    for prop in PROPS:
+        for _ in range(300):
+            n = rng.randint(2, 7)
+            board = Board(n)
+            pairs = list(all_pairs(n))
+            rng.shuffle(pairs)
+            for (u, v) in pairs[: rng.randint(0, len(pairs))]:
+                b2 = board.copy()
+                b2.orient(*((u, v) if rng.random() < 0.5 else (v, u)))
+                if forced_verdict(b2, prop) is None:
+                    board = b2
+            for mover in (MAKER, BREAKER):
+                found = [settles(prop, board, mover, b) for b in (1, 2, 3)]
+                assert found == sorted(found)
+                fired[prop.key(), mover] = fired.get((prop.key(), mover), 0) + any(found)
+    assert {k for k, count in fired.items() if count} == {
+        (key, mover) for key, movers in SETTLERS.items() for mover in movers}
+    assert min(count for count in fired.values() if count) >= 30, fired
 
 
 # ---------------------------------------------------------------------------

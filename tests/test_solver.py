@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from orientgames.engine import (
     ContainsH,
     Cycle,
     CycleLengthK,
+    GameConfig,
     Hamiltonicity,
     MinInDegreePositive,
     NonKColorable,
@@ -19,9 +21,10 @@ from orientgames.engine import (
     apply_move,
     evaluate_property,
     forced_verdict,
+    property_from_key,
     validate_move,
 )
-from orientgames.errors import BudgetExceeded, SizeMismatch
+from orientgames.errors import BadConfig, BudgetExceeded, SizeMismatch
 from orientgames.oracles import PatternGraph
 from orientgames.solver import (
     solve_orientation_game,
@@ -31,11 +34,14 @@ from orientgames.solver import (
 from orientgames.strategies import (
     BreakerBoxHamilton,
     BreakerOutStar,
+    BreakerSigmaPotential,
     MakerCycle,
     RandomStrategy,
 )
+from orientgames.strategies.potential import es_condition
 
-from conftest import reference_verify
+from conftest import disable_settling_moves, reference_verify
+from test_thresholds import THRESHOLDS
 
 ALL_N3_PROPS = [
     Cycle(),
@@ -84,6 +90,14 @@ def test_budget_errors():
     for p, q in [(4, 1), (1, 4)]:
         with pytest.raises(BudgetExceeded, match="capped at n=6 and bias 3"):
             solve_orientation_game(3, p, q, Cycle())
+
+
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 0), (0, 0), (-1, 2)])
+def test_solve_refuses_a_bias_below_one(p, q):
+    # A game with no move for one side has no value; the config check the
+    # engine and the verifier make applies here too.
+    with pytest.raises(BadConfig, match="both biases must be >= 1"):
+        solve_orientation_game(4, p, q, Cycle())
 
 
 def test_start_board_must_match_n():
@@ -369,10 +383,95 @@ SOLVE_PIN_IDS = [
 ]
 
 
+# The pins above hold for the search without settling moves; with them the
+# same winners and lines cost these (nodes, memo hits, memo size, decided).
+SETTLED_COUNTS = [
+    (82, 23, 51, 11),
+    (60, 21, 33, 7),
+    (50, 12, 34, 10),
+    (46, 18, 23, 5),
+    (1989, 846, 802, 221),
+    (567, 212, 267, 0),  # ck:3 knows no settling move
+]
+
+
 @pytest.mark.parametrize("args, winner, nodes, memo_hits, pv", SOLVE_PINS, ids=SOLVE_PIN_IDS)
-def test_solver_results_pinned(args, winner, nodes, memo_hits, pv):
+def test_solver_results_pinned(args, winner, nodes, memo_hits, pv, settling_moves_off):
     r = solve_orientation_game(*args)
     assert (r.winner, r.nodes, r.memo_hits, r.pv) == (winner, nodes, memo_hits, pv)
+    assert r.decided == 0
+
+
+@pytest.mark.parametrize("pin, counts", zip(SOLVE_PINS, SETTLED_COUNTS), ids=SOLVE_PIN_IDS)
+def test_solver_results_pinned_with_settling_moves(pin, counts):
+    args, winner, _, _, pv = pin
+    r = solve_orientation_game(*args)
+    assert (r.winner, r.pv) == (winner, pv)
+    assert (r.nodes, r.memo_hits, r.memo_size, r.decided) == counts
+
+
+# ---------------------------------------------------------------------------
+# Settling moves change node counts, never a value: same winners, same lines
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", THRESHOLDS)
+def test_settling_moves_keep_every_small_threshold_game(key, monkeypatch):
+    # Every (1:q) game of the threshold table up to n = 5, solved both ways.
+    prop = property_from_key(key)
+    games = [(n, 1, q, prop) for n in (3, 4, 5) for q in range(1, solver.SOLVER_MAX_BIAS + 1)]
+    on = [solve_orientation_game(*game) for game in games]
+    disable_settling_moves(monkeypatch)
+    off = [solve_orientation_game(*game) for game in games]
+    for game, a, b in zip(games, on, off):
+        assert (a.winner, a.pv) == (b.winner, b.pv), game
+        assert a.nodes <= b.nodes and b.decided == 0, game
+
+
+# The n = 6 games the threshold tests solve, for the properties that know a
+# settling move: (winner, nodes, digest of the principal variation).  The
+# winners and digests are those of the search without settling moves, which
+# took 3,816 / 75,644 / 92,193 nodes on cycle at q = 1 / 2 / 3, 9,524 /
+# 171,047 / 69,500 on min-in-degree and 27,051 / 58,269 / 13,281 on
+# Hamiltonicity; solving them both ways here would add about 12 s to Tier-1.
+N6_GAMES = {
+    ("cycle", 1): (MAKER, 754, "4ba40ba11003"),
+    ("cycle", 2): (MAKER, 20866, "ad9ffe0e4431"),
+    ("cycle", 3): (BREAKER, 18844, "2478881a051c"),
+    ("min-indegree-positive", 1): (MAKER, 3711, "f81c2e3f219a"),
+    ("min-indegree-positive", 2): (BREAKER, 88299, "bc8e850b7bd3"),
+    ("min-indegree-positive", 3): (BREAKER, 16005, "33c1f2db006e"),
+    ("hamiltonicity", 1): (MAKER, 21060, "43acd3705079"),
+    ("hamiltonicity", 2): (BREAKER, 43146, "f508c8ab294d"),
+    ("hamiltonicity", 3): (BREAKER, 2130, "f508c8ab294d"),
+}
+
+
+@pytest.mark.parametrize("key, q", N6_GAMES, ids=[f"{k}-{q}" for k, q in N6_GAMES])
+def test_settling_moves_keep_the_n6_threshold_games(key, q):
+    r = solve_orientation_game(6, 1, q, property_from_key(key))
+    digest = hashlib.sha256(repr(r.pv).encode()).hexdigest()[:12]
+    assert (r.winner, r.nodes, digest) == N6_GAMES[key, q]
+
+
+# The n = 7 games behind t_cycle(7) = 4 and t_mindeg(7) = 3, past both
+# caps; they take 13-230 s and up to 0.7 GB each, so they run only under
+# `pytest -m slow`.  (winner, nodes, memo hits, memo size, decided)
+N7_GAMES = {
+    ("cycle", 3): (MAKER, 1513459, 853116, 348486, 134094),
+    ("cycle", 4): (BREAKER, 475062, 239698, 121620, 51389),
+    ("min-indegree-positive", 2): (MAKER, 5372619, 3231924, 1340475, 430818),
+    ("min-indegree-positive", 3): (BREAKER, 10291173, 6434186, 1877847, 576647),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("key, q", N7_GAMES, ids=[f"{k}-{q}" for k, q in N7_GAMES])
+def test_n7_threshold_games(key, q, monkeypatch):
+    monkeypatch.setattr(solver, "SOLVER_MAX_N", 7)
+    monkeypatch.setattr(solver, "SOLVER_MAX_BIAS", 4)
+    r = solve_orientation_game(7, 1, q, property_from_key(key))
+    assert (r.winner, r.nodes, r.memo_hits, r.memo_size, r.decided) == N7_GAMES[key, q]
 
 
 VERIFY_PINS = [
@@ -400,6 +499,8 @@ VERIFY_PINS = [
       (BREAKER, ((1, 4),)), (MAKER, ((2, 1),))]),
     (BreakerBoxHamilton, (BREAKER, 3, 1, 2, MinInDegreePositive()), 0, False, 2,
      [(MAKER, ((2, 1),)), (BREAKER, ((0, 2),)), (MAKER, ((1, 0),))]),
+    (BreakerBoxHamilton, (BREAKER, 7, 1, 4, MinInDegreePositive()), 0, True, 27874, None),
+    (BreakerBoxHamilton, (BREAKER, 7, 1, 4, Hamiltonicity()), 0, True, 27750, None),
 ]
 
 
@@ -416,6 +517,45 @@ def test_verifier_matches_reference(factory, args, seed):
     # result, node count included, is the reference's.
     r = verify_strategy_vs_all(factory, *args, seed=seed)
     assert (r.ok, r.nodes, r.counterexample) == reference_verify(factory, *args, seed=seed)
+
+
+# The paper's H-creation Breaker on R5, the regular 5-vertex tournament
+# (i->i+1 and i->i+2 mod 5; FAS 3).  Breaker wins each of these games, but
+# the potential strategy passes the verifier only at (n, q) = (5, 3).  Its
+# losses lie outside its guarantee: the blocking criterion over its
+# three-slot winning sets (120 at n = 5, 720 at n = 6) needs q >= 10 at
+# n = 5 and q >= 26 at n = 6.  (n, q, ok, nodes)
+R5 = PatternGraph(5, frozenset({(i, (i + 1) % 5) for i in range(5)}
+                               | {(i, (i + 2) % 5) for i in range(5)}))
+SIGMA_R5_PINS = [
+    (5, 1, False, 3546),
+    (5, 2, False, 1778),
+    (5, 3, True, 1076),
+    (6, 1, False, 288),
+    (6, 2, False, 1452),
+    (6, 3, False, 4379),
+]
+
+
+@pytest.mark.parametrize("n, q, ok, nodes", SIGMA_R5_PINS)
+def test_sigma_breaker_on_r5_against_the_exact_value(n, q, ok, nodes):
+    prop = ContainsH(R5)
+    assert solve_orientation_game(n, 1, q, prop).winner == BREAKER
+    r = verify_strategy_vs_all(lambda: BreakerSigmaPotential(R5), BREAKER, n, 1, q, prop)
+    assert (r.ok, r.nodes) == (ok, nodes)
+    strat = BreakerSigmaPotential(R5)
+    strat.start(GameConfig(n=n, p=1, q=q, prop=prop), None)
+    sets = len(strat.state.sets)
+    least = next(b for b in itertools.count(1) if es_condition(strat.state, 1, b))
+    print(f"sigma Breaker on R5 at n={n}, q={q}: {'passes' if ok else 'loses'};"
+          f" its criterion over {sets} sets of size {strat.r} needs q >= {least}")
+    assert (sets, strat.r, least) == {5: (120, 3, 10), 6: (720, 3, 26)}[n]
+    if not ok:
+        # Each loss is a real line: it replays to a board holding R5.
+        board = Board(n)
+        for (role, move) in r.counterexample:
+            assert board.apply_checked(move, 1 if role == MAKER else q) is None
+        assert forced_verdict(board, prop) is True
 
 
 def _noting_last_arc(cls):
