@@ -132,6 +132,8 @@ def biases_for(n: int, args):
 
 SWEEP_DEFAULTS = {"p": 1, "seeds": 10, "seed": 0, "workers": 1}
 SWEEP_INT_KEYS = {"p", "seeds", "seed", "workers"}
+SPEC_KEYS = ("n", "bias", "bias_coef", "p", "maker", "breaker", "property",
+             "seeds", "seed", "workers", "out")
 
 
 def _merge_spec_file(args):
@@ -151,9 +153,11 @@ def _merge_spec_file(args):
                 if "=" not in line:
                     raise ParseError(f"bad spec line {raw.rstrip()!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = val
-    for key in ("n", "bias", "bias_coef", "p", "maker", "breaker", "property",
-                "seeds", "seed", "workers", "out"):
+                name = key.replace("-", "_")
+                if name not in SPEC_KEYS:
+                    raise ParseError(f"unknown spec key {key!r} in {args.spec_file}")
+                values[name] = val
+    for key in SPEC_KEYS:
         if getattr(args, key) is None and key in values:
             val = values[key]
             setattr(args, key, int(val) if key in SWEEP_INT_KEYS else val)

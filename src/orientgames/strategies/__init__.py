@@ -33,6 +33,7 @@ from .hamilton import (
 from .paths import BreakerOutStar, MakerCk, MakerCycle
 from .potential import (
     HypergraphState,
+    PotentialPlay,
     es_condition,
     es_condition_families,
     potential_blocker_move,
@@ -53,6 +54,7 @@ __all__ = [
     "MakerGreedyEmbedding",
     "MakerHamilton",
     "MakerNonKColorable",
+    "PotentialPlay",
     "RandomStrategy",
     "TemplateCutEngine",
     "audit_template",

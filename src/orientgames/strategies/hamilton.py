@@ -14,11 +14,14 @@ in- and out-degree to at least c.
 Stage 2 protects cuts.  A fixed random template tournament T* with arcs
 both ways across every pair of large disjoint sets is generated up front;
 from the handoff on, Maker only orients arcs agreeing with T*, choosing
-the arc by potential over (sampled) ordered set-pair cuts: a cut (A, B)
-dies happily once any T*-arc from A to B is oriented, and its threat
-grows as Breaker reverses its remaining slots.  Keeping one arc each way
-across every large cut makes the final tournament strongly connected,
-hence Hamiltonian.
+the arc by potential over a seeded sample of ordered set-pair cuts (the
+TemplateCutEngine): a cut (A, B) dies happily once any T*-arc from A to
+B is oriented, and its threat grows as Breaker reverses its remaining
+slots.  Keeping one arc each way across every large cut makes the final
+tournament strongly connected, hence Hamiltonian.
+
+MakerNonKColorable plays the shared PotentialPlay against T* over every
+cut when they are few, and the sampled engine otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from ..board import Board
 from ..engine import BREAKER, MAKER, Strategy
 from ..errors import CriterionUnmet, NoAgreeingPair
-from .potential import HypergraphState
+from .potential import HypergraphState, PotentialPlay, agreeing_arc
 
 E_FREE, E_MAKER, E_BREAKER = 0, 1, 2
 
@@ -232,25 +235,39 @@ class DangerLedger:
 # ---------------------------------------------------------------------------
 
 
+def cut_hypergraph(tstar: np.ndarray, k: int, threat_bias: int) -> HypergraphState:
+    """Every ordered cut (A, B) of disjoint k-sets of T*, as the set of
+    its template arcs from A to B; cuts with no such arc are left out."""
+    n = tstar.shape[0]
+    if 2 * k > n:
+        raise CriterionUnmet(f"no disjoint {k}-sets in {n} vertices")
+    sets = []
+    verts = range(n)
+    for a in itertools.combinations(verts, k):
+        rest = [w for w in verts if w not in a]
+        for b in itertools.combinations(rest, k):
+            slots = frozenset((u, v) for u in a for v in b if tstar[u, v])
+            if slots:
+                sets.append(slots)
+    elements = [(u, v) for u in range(n) for v in range(n) if tstar[u, v]]
+    return HypergraphState(sets, threat_bias=threat_bias, blocker_bias=1, elements=elements)
+
+
 class TemplateCutEngine:
-    """Blocker-side potential play over ordered set-pair cuts of T*.
+    """Blocker-side potential play over a sample of ordered set-pair cuts of T*.
 
     A cut (A, B) is the set of template arcs from A to B.  It is safe
     (dead, potential 0) once any of those arcs is oriented on the board,
     and threatened as they get oriented in reverse; the live potential is
-    (blocker_bias+1)^(-unoriented slots / threat bias).  Exact mode keeps
-    every cut in a HypergraphState; sampled mode tracks a fixed seeded
-    sample with vectorized updates.
+    (blocker_bias+1)^(-unoriented slots / threat bias).  The engine tracks
+    a fixed seeded sample of SAMPLE_BUDGET cuts with vectorized updates,
+    and Maker's moves agree with T*.
     """
 
-    def __init__(self, board: Board, tstar: np.ndarray, k: int, threat_bias: int,
-                 exact: bool = False, seed=0):
-        self.n = board.n
+    def __init__(self, board: Board, tstar: np.ndarray, k: int, threat_bias: int, seed=0):
+        n = board.n
         self.tstar = tstar
-        self.k = k
         self.threat_bias = threat_bias
-        self.exact = exact
-        n = self.n
         und = np.zeros((n, n), dtype=bool)
         for (u, v) in board.undirected_pairs():
             und[u, v] = und[v, u] = True
@@ -258,46 +275,6 @@ class TemplateCutEngine:
         fwd = np.zeros((n, n), dtype=bool)  # arc u->v oriented on board
         for (u, v) in board.arcs():
             fwd[u, v] = True
-        if exact:
-            self._init_exact(fwd)
-        else:
-            self._init_sampled(fwd, seed)
-
-    # -- exact ---------------------------------------------------------------
-
-    def _init_exact(self, fwd):
-        n, k = self.n, self.k
-        if 2 * k > n:
-            raise CriterionUnmet(f"no disjoint {k}-sets in {n} vertices")
-        sets = []
-        verts = range(n)
-        for a in itertools.combinations(verts, k):
-            rest = [w for w in verts if w not in a]
-            for b in itertools.combinations(rest, k):
-                slots = frozenset(
-                    (u, v) for u in a for v in b if self.tstar[u, v]
-                )
-                if slots:
-                    sets.append(slots)
-        if len(sets) > 250_000:
-            raise CriterionUnmet(f"{len(sets)} cuts is beyond exact mode")
-        elements = [(u, v) for u in range(n) for v in range(n) if self.tstar[u, v]]
-        self.state = HypergraphState(
-            sets, threat_bias=self.threat_bias, blocker_bias=1, elements=elements,
-        )
-        for u in range(n):
-            for v in range(n):
-                if not self.tstar[u, v]:
-                    continue
-                if fwd[u, v]:
-                    self.state.claim_blocker((u, v))
-                elif fwd[v, u]:
-                    self.state.claim_threat((u, v))
-
-    # -- sampled ---------------------------------------------------------------
-
-    def _init_sampled(self, fwd, seed):
-        n, k = self.n, self.k
         rng = np.random.default_rng([k, SAMPLE_BUDGET] + _seed_words(seed))
         budget = SAMPLE_BUDGET if 2 * k <= n else 0
         # Membership by vertex: row u says which sampled cuts have u in A
@@ -311,39 +288,37 @@ class TemplateCutEngine:
         self.b_mem[perms[:, k : 2 * k], cols] = True
         del perms  # freed before the float32 products below, which set the peak
         a = self.a_mem.astype(np.float32)
-        open_slots = (self.tstar & self.und).astype(np.float32)
+        open_slots = (tstar & und).astype(np.float32)
         self.rem = np.rint(((open_slots.T @ a) * self.b_mem).sum(axis=0)).astype(np.int64)
-        closed = (self.tstar & fwd).astype(np.float32)
+        closed = (tstar & fwd).astype(np.float32)
         hits = ((closed.T @ a) * self.b_mem).sum(axis=0)
         self.alive = hits < 0.5
 
-    # -- updates ---------------------------------------------------------------
-
-    def observe_arc(self, u: int, v: int):
-        """Ingest a newly oriented arc u->v (from either player)."""
-        self.und[u, v] = self.und[v, u] = False
-        if self.exact:
+    def observe(self, move):
+        """Ingest a move's newly oriented arcs (from either player), one
+        arc at a time."""
+        for (u, v) in move:
+            self.und[u, v] = self.und[v, u] = False
+            if len(self.alive) == 0:
+                continue
             if self.tstar[u, v]:
-                if self.state.status[(u, v)] == 0:
-                    self.state.claim_blocker((u, v))
-            elif self.state.status[(v, u)] == 0:
-                self.state.claim_threat((v, u))
-            return
-        if len(self.alive) == 0:
-            return
-        if self.tstar[u, v]:
-            mask = self.a_mem[u] & self.b_mem[v]
-            self.alive &= ~mask
-        else:
-            mask = self.a_mem[v] & self.b_mem[u] & self.alive
-            self.rem[mask] -= 1
+                self.alive &= ~(self.a_mem[u] & self.b_mem[v])
+            else:
+                mask = self.a_mem[v] & self.b_mem[u] & self.alive
+                self.rem[mask] -= 1
 
-    # -- move choice ---------------------------------------------------------------
+    def move(self, board: Board):
+        """The best template-agreeing arc as a one-arc move, else the
+        lowest open pair oriented the way T* agrees: with no live sampled
+        cut naming an arc, any agreeing pair will do."""
+        choice = self._best_arc()
+        if choice is not None and board.is_undirected(*choice):
+            return (choice,)
+        return (agreeing_arc(board, lambda u, v: self.tstar[u, v]),)
 
-    def choose(self):
-        """Best template-agreeing arc (u, v) to orient, or None."""
-        if self.exact:
-            return self.state.best_free()
+    def _best_arc(self):
+        """Best template-agreeing open arc (u, v) by the live sampled cuts
+        it would kill, or None."""
         if len(self.alive) == 0 or not self.alive.any():
             return None
         live = np.flatnonzero(self.alive)
@@ -372,19 +347,6 @@ class TemplateCutEngine:
             if score > best_score + 1e-15:
                 best, best_score = (u, v), score
         return best
-
-    def agreeing_move(self, board: Board):
-        """The chosen arc as a move, else the lowest open pair oriented the
-        way T* agrees: with no live sampled cut naming an arc, any agreeing
-        pair will do."""
-        choice = self.choose()
-        if choice is not None and board.is_undirected(*choice):
-            return (choice,)
-        pair = board.lowest_undirected()
-        if pair is None:
-            raise NoAgreeingPair("asked to move on a complete board")
-        u, v = pair
-        return ((u, v),) if self.tstar[u, v] else ((v, u),)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +384,7 @@ class MakerHamilton(Strategy):
             if role == BREAKER:
                 self.ledger.breaker_move(move)
         elif self.cut_engine is not None:
-            for (u, v) in move:
-                self.cut_engine.observe_arc(u, v)
+            self.cut_engine.observe(move)
 
     def _enter_stage2(self, board: Board):
         self.stage = 2
@@ -450,7 +411,7 @@ class MakerHamilton(Strategy):
                     self.stage1_rounds += 1
                     return move
             self._enter_stage2(board)
-        return self.cut_engine.agreeing_move(board)
+        return self.cut_engine.move(board)
 
     def _stage1_move(self, board: Board):
         """Maker's stage-1 move, or None once no vertex is dangerous."""
@@ -482,10 +443,11 @@ class MakerHamilton(Strategy):
 class MakerNonKColorable(Strategy):
     """Deny Breaker every one-way cut between disjoint m-sets of T*.
 
-    The stage-2 engine over cuts of size m = floor(n / 2k): ending with an
-    arc both ways between every two disjoint m-sets leaves no transitive
-    set of 2m vertices, so the tournament cannot be split into k
-    transitive parts.
+    Potential play over cuts of size m = floor(n / 2k): ending with an arc
+    both ways between every two disjoint m-sets leaves no transitive set
+    of 2m vertices, so the tournament cannot be split into k transitive
+    parts.  Up to 100,000 cuts PotentialPlay tracks every one of them
+    against T*; beyond that the sampled TemplateCutEngine plays.
     """
 
     role = MAKER
@@ -500,18 +462,19 @@ class MakerNonKColorable(Strategy):
         n = config.n
         m = max(1, n // (2 * self.k))
         self.m = m
-        exact = math.comb(n, m) * math.comb(n - m, m) <= 100_000
         # No template audit: with constant-size cuts every tournament has
         # some one-way set pair, so the two-way property is unattainable and
         # the potential play does not depend on it.
-        tstar = generate_template(n, config.seed, audit_samples=0, k=m)
-        self.cut_engine = TemplateCutEngine(
-            Board(n), tstar, m, threat_bias=config.q, exact=exact, seed=config.seed,
-        )
+        self.tstar = tstar = generate_template(n, config.seed, audit_samples=0, k=m)
+        if math.comb(n, m) * math.comb(n - m, m) <= 100_000:
+            state = cut_hypergraph(tstar, m, threat_bias=config.q)
+            self.player = PotentialPlay(state, lambda u, v: tstar[u, v])
+        else:
+            self.player = TemplateCutEngine(
+                Board(n), tstar, m, threat_bias=config.q, seed=config.seed)
 
     def observe(self, board, role, move):
-        for (u, v) in move:
-            self.cut_engine.observe_arc(u, v)
+        self.player.observe(move)
 
     def next_move(self, board: Board, transcript):
-        return self.cut_engine.agreeing_move(board)
+        return self.player.move(board)

@@ -12,7 +12,7 @@ set containing any blocker-claimed element is dead and contributes 0.
 
 At threat bias 1 the scores are exact integers: every potential is
 scaled by one common power of q+1, which changes no comparison.  Above
-it they are floats.
+it they are floats.  PotentialPlay plays this blocker on board pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..errors import NoFreeElements
+from ..errors import NoAgreeingPair, NoFreeElements
 
 FREE = 0
 THREAT = 1
@@ -182,3 +182,44 @@ def potential_blocker_move(state: HypergraphState, budget: int) -> list:
         state.claim_blocker(best)
         claimed.append(best)
     return claimed
+
+
+class PotentialPlay:
+    """Potential blocking on board pairs against a reference tournament.
+
+    A pair's element, one of the state's, is its arc u->v with
+    agrees(u, v).  Orienting the pair that way claims the element for
+    the player, the blocker; the other way claims it for the threat.
+    """
+
+    def __init__(self, state: HypergraphState, agrees):
+        self.state = state
+        self.agrees = agrees
+
+    def observe(self, move) -> None:
+        """Ingest a move's arcs, from either side; claimed elements are
+        skipped, the player's own claims among them."""
+        for (u, v) in move:
+            if self.agrees(u, v):
+                if self.state.status[(u, v)] == FREE:
+                    self.state.claim_blocker((u, v))
+            elif self.state.status[(v, u)] == FREE:
+                self.state.claim_threat((v, u))
+
+    def move(self, board, budget: int = 1) -> tuple:
+        """Up to budget agreeing arcs by removed potential, claimed now;
+        the lowest open pair, oriented the agreeing way, when no element
+        is free."""
+        try:
+            return tuple(potential_blocker_move(self.state, budget))
+        except NoFreeElements:
+            return (agreeing_arc(board, self.agrees),)
+
+
+def agreeing_arc(board, agrees) -> tuple[int, int]:
+    """The board's lowest open pair, oriented the way agrees() says."""
+    pair = board.lowest_undirected()
+    if pair is None:
+        raise NoAgreeingPair("asked to move on a complete board")
+    u, v = pair
+    return (u, v) if agrees(u, v) else (v, u)

@@ -7,6 +7,8 @@ and any copy of the target pattern H must take all of its feedback arcs
 selection is potential play over the reduction hypergraph: one winning
 set per (t-subset S, r-subset of pair-slots inside S), where a slot is
 Breaker's once oriented forward and threatened once oriented backward.
+It is the shared PotentialPlay with the vertex order as its reference
+tournament, the same player the non-k-colourable Maker runs against T*.
 
 Worth blocking only when r >= 2: at r <= 1 the criterion cannot hold at
 any polynomial bias, so construction is refused.
@@ -20,9 +22,9 @@ import random
 
 from ..board import Board
 from ..engine import BREAKER, MAKER, Strategy
-from ..errors import BudgetExceeded, FasTooSmall, NoFreeElements
+from ..errors import BudgetExceeded, FasTooSmall
 from ..oracles import PatternGraph, fas_exact
-from .potential import FREE, HypergraphState, potential_blocker_move
+from .potential import HypergraphState, PotentialPlay
 
 SIGMA_EXACT_MAX_N = 10
 SIGMA_SAMPLE_SETS = 20_000
@@ -53,38 +55,24 @@ class BreakerSigmaPotential(Strategy):
             ]
         else:
             # Beyond exact scale: a fixed seeded sample of (subset, slots)
-            # winning sets keeps the same shape at bounded cost.
+            # winning sets keeps the same shape at bounded cost.  A pattern
+            # larger than the board has no copy to sample.
             sample_rng = random.Random(f"sigma/{config.seed}")
             sets = []
-            for _ in range(SIGMA_SAMPLE_SETS):
+            for _ in range(SIGMA_SAMPLE_SETS if t <= n else 0):
                 sub = sorted(sample_rng.sample(range(n), t))
                 slots = sample_rng.sample(list(itertools.combinations(sub, 2)), r)
                 sets.append(frozenset(slots))
-        self.state = HypergraphState(
-            sets, threat_bias=1, blocker_bias=config.q, elements=pair_pool
-        )
+        state = HypergraphState(sets, threat_bias=1, blocker_bias=config.q, elements=pair_pool)
+        # Elements are the (low, high) pair slots, so every claim is a
+        # forward arc.
+        self.player = PotentialPlay(state, lambda u, v: u < v)
 
     def observe(self, board, role, move):
-        for (u, v) in move:
-            slot = (min(u, v), max(u, v))
-            if self.state.status[slot] != FREE:
-                continue
-            if u < v:
-                self.state.claim_blocker(slot)
-            else:
-                self.state.claim_threat(slot)
+        self.player.observe(move)
 
     def next_move(self, board: Board, transcript):
-        # Free hypergraph elements are exactly the undirected board pairs,
-        # each a (low, high) slot, so every claim is a forward arc.
-        budget = min(self.config.q, board.undirected_count)
-        try:
-            slots = potential_blocker_move(self.state, budget)
-        except NoFreeElements:
-            slots = []
-        if not slots:
-            slots = (board.lowest_undirected(),)
-        return tuple(slots)
+        return self.player.move(board, min(self.config.q, board.undirected_count))
 
 
 class MakerGreedyEmbedding(Strategy):

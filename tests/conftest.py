@@ -9,6 +9,7 @@ compute an expected value that a test then asserts against package code.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from orientgames import solver
 from orientgames.board import Board, all_pairs
 from orientgames.engine import (
     BREAKER,
@@ -26,8 +28,10 @@ from orientgames.engine import (
     GameConfig,
     Property,
     forced_verdict,
+    property_from_key,
     strategy_rng,
 )
+from orientgames.solver import solve_orientation_game
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE
 
 # Property tests draw the same examples on every run, so a Tier-1 result
@@ -510,6 +514,24 @@ def kahn_topological_order(board):
 @pytest.fixture
 def rng():
     return random.Random(20260810)
+
+
+@pytest.fixture(scope="session")
+def solved():
+    """solved(n, p, q, property key): the exact solve of each game, run once
+    per session.  Only for tests that leave the solver unpatched."""
+    @functools.cache
+    def solve(n, p, q, key):
+        return solve_orientation_game(n, p, q, property_from_key(key))
+    return solve
+
+
+@pytest.fixture
+def cached_solves(solved, monkeypatch):
+    """Callers of solver.solve_orientation_game, threshold_scan among them,
+    read the session's solves."""
+    monkeypatch.setattr(solver, "solve_orientation_game",
+                        lambda n, p, q, prop: solved(n, p, q, prop.key()))
 
 
 def disable_settling_moves(monkeypatch):

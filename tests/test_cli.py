@@ -386,6 +386,17 @@ def test_sweep_spec_file(tmp_path):
     assert len([r for r in rows2 if r["kind"] == "game"]) == 4
 
 
+def test_sweep_spec_file_refuses_an_unknown_key(tmp_path, capsys):
+    spec = tmp_path / "sweep.spec"
+    spec.write_text(
+        "n = 6\nbias = 1\nmaker = maker-random\nbreaker = breaker-random\n"
+        f"property = cycle\nsead = 5\nout = {tmp_path / 'spec.csv'}\n"
+    )
+    assert run(["sweep", "--spec-file", str(spec)]) == 2
+    assert "unknown spec key 'sead'" in capsys.readouterr().err
+    assert not (tmp_path / "spec.csv").exists()
+
+
 def test_boxgame_solve_subcommand_form(capsys):
     assert run(["boxgame", "solve", "--boxes", "3", "--size", "2", "--bias", "2"]) == 0
     assert "winner:" in capsys.readouterr().out

@@ -184,7 +184,7 @@ def test_threshold_scan_values():
     assert threshold_scan(4, Cycle()) == 2
 
 
-def test_threshold_scan_n6():
+def test_threshold_scan_n6(cached_solves):
     # Maker wins at q = 1 and 2, Breaker at q = 3: inside the paper's
     # bracket (n/2 - 2, n - 2] = (1, 4].
     assert threshold_scan(6, Cycle()) == 3
@@ -448,8 +448,8 @@ N6_GAMES = {
 
 
 @pytest.mark.parametrize("key, q", N6_GAMES, ids=[f"{k}-{q}" for k, q in N6_GAMES])
-def test_settling_moves_keep_the_n6_threshold_games(key, q):
-    r = solve_orientation_game(6, 1, q, property_from_key(key))
+def test_settling_moves_keep_the_n6_threshold_games(key, q, solved):
+    r = solved(6, 1, q, key)
     digest = hashlib.sha256(repr(r.pv).encode()).hexdigest()[:12]
     assert (r.winner, r.nodes, digest) == N6_GAMES[key, q]
 
@@ -545,8 +545,8 @@ def test_sigma_breaker_on_r5_against_the_exact_value(n, q, ok, nodes):
     assert (r.ok, r.nodes) == (ok, nodes)
     strat = BreakerSigmaPotential(R5)
     strat.start(GameConfig(n=n, p=1, q=q, prop=prop), None)
-    sets = len(strat.state.sets)
-    least = next(b for b in itertools.count(1) if es_condition(strat.state, 1, b))
+    sets = len(strat.player.state.sets)
+    least = next(b for b in itertools.count(1) if es_condition(strat.player.state, 1, b))
     print(f"sigma Breaker on R5 at n={n}, q={q}: {'passes' if ok else 'loses'};"
           f" its criterion over {sets} sets of size {strat.r} needs q >= {least}")
     assert (sets, strat.r, least) == {5: (120, 3, 10), 6: (720, 3, 26)}[n]

@@ -49,6 +49,7 @@ from orientgames.strategies import (
     MakerGreedyEmbedding,
     MakerHamilton,
     MakerNonKColorable,
+    PotentialPlay,
     RandomStrategy,
     TemplateCutEngine,
     audit_template,
@@ -58,7 +59,13 @@ from orientgames.strategies import (
     potential_blocker_move,
 )
 from orientgames.solver import verify_strategy_vs_all
-from orientgames.strategies.hamilton import E_BREAKER, E_FREE, E_MAKER, DangerLedger
+from orientgames.strategies.hamilton import (
+    E_BREAKER,
+    E_FREE,
+    E_MAKER,
+    DangerLedger,
+    cut_hypergraph,
+)
 from orientgames.strategies.random_play import _FreePairList
 
 from conftest import (
@@ -555,18 +562,18 @@ def test_stage2_exact_mode_agrees_with_potential_blocker(rng):
     n, k, q = 12, 3, 2
     tstar = generate_template(n, seed=7, audit_samples=0, k=k)
     board = Board(n)
-    engine = TemplateCutEngine(board, tstar, k, threat_bias=q, exact=True, seed=7)
+    engine = PotentialPlay(cut_hypergraph(tstar, k, q), lambda u, v: tstar[u, v])
     mirror = build_explicit_cut_state(board, tstar, k, q)
     moves = 0
     while board.undirected_count > 40 or moves < 8:
-        choice = engine.choose()
+        (choice,) = engine.move(board)
         probe = copy.deepcopy(mirror)
         expected = potential_blocker_move(probe, 1)[0]
         assert choice == expected
         # Apply the choice plus a random opposing arc.
         for arc in [choice]:
             board.orient(*arc)
-            engine.observe_arc(*arc)
+            engine.observe([arc])
             if mirror.status[arc] == 0:
                 mirror.claim_blocker(arc)
         pairs = board.undirected_pairs()
@@ -576,7 +583,7 @@ def test_stage2_exact_mode_agrees_with_potential_blocker(rng):
         if rng.random() < 0.5:
             u, v = v, u
         board.orient(u, v)
-        engine.observe_arc(u, v)
+        engine.observe([(u, v)])
         slot = (u, v) if tstar[u, v] else (v, u)
         if mirror.status[slot] == 0:
             if tstar[u, v]:
@@ -605,8 +612,7 @@ def test_cut_hyperedge_count_formulas():
         for b in itertools.combinations(rest, 3):
             if any(tstar[u, v] for u in a for v in b):
                 nonempty += 1
-    engine = TemplateCutEngine(Board(12), tstar, 3, threat_bias=1, exact=True)
-    assert len(engine.state.sets) == nonempty
+    assert len(cut_hypergraph(tstar, 3, threat_bias=1).sets) == nonempty
     assert nonempty <= 18480
 
 
@@ -619,7 +625,7 @@ def test_nonkcolorable_moves_agree_with_template():
     cfg = GameConfig(n=12, p=1, q=1, prop=NonKColorable(2), seed=1, early_stop=False)
     maker = MakerNonKColorable(2)
     rec = play_game(cfg, maker, RandomStrategy(BREAKER))
-    tstar = maker.cut_engine.tstar
+    tstar = maker.tstar
     for role, move in rec.transcript:
         if role == MAKER:
             for (u, v) in move:
@@ -1011,6 +1017,18 @@ def test_sigma_sampled_branch_plays_legally():
             assert all(u < v for (u, v) in move)
 
 
+def test_sigma_plays_a_pattern_larger_than_the_board():
+    # Four disjoint directed triangles: t = 12, FAS 4.  At n = 11 the board
+    # has no copy to sample, so the Breaker plays with no winning set.
+    triangles = PatternGraph(12, frozenset(
+        (3 * i + j, 3 * i + (j + 1) % 3) for i in range(4) for j in range(3)))
+    assert fas_exact(triangles)[0] == 4
+    cfg = GameConfig(n=11, p=1, q=2, prop=ContainsH(triangles), seed=0, early_stop=False)
+    rec = play_game(cfg, RandomStrategy(MAKER), BreakerSigmaPotential(triangles))
+    assert rec.forfeit is None and rec.winner == BREAKER
+    assert all(u < v for role, move in rec.transcript if role == BREAKER for (u, v) in move)
+
+
 def test_breaker_box_threshold_gate_at_n200():
     t = breaker_bias_threshold(200)
     cfg_low = GameConfig(n=200, p=1, q=t - 1, prop=MinInDegreePositive(), seed=0)
@@ -1050,7 +1068,8 @@ def _records_hash(make_maker, n, q, prop, make_breaker, seeds=range(5), early_st
 # on critical vertices and rarely hands off.  At q=3 stage 1 hands off on
 # plain danger ranking, and k=8 makes stage 2 sample 4096 cuts (the
 # default k leaves no two disjoint k-sets at n=60).  MakerNonKColorable
-# tracks cuts exactly at n=12 and samples them at n=15.
+# tracks cuts exactly at n=12 and samples them at n=15; at q >= 2 its
+# exact cut weights are floats.
 PINNED_RECORDS = [
     ("hamilton", 40, 8, "random", "c3b567329edf977c"),
     ("hamilton", 40, 8, "greedy-star", "c3d917a00362c076"),
@@ -1060,6 +1079,9 @@ PINNED_RECORDS = [
     ("hamilton-k8", 60, 3, "greedy-star", "2461c0ca6f55f1f6"),
     ("nonkcol", 12, 1, "random", "a35ac3bdc38c9957"),
     ("nonkcol", 15, 1, "random", "a59f35f5c0eea8ff"),
+    ("nonkcol", 12, 2, "random", "31741749784204d0"),
+    ("nonkcol", 12, 3, "random", "a0e2ea8d33944c33"),
+    ("nonkcol", 12, 2, "greedy-star", "d5c4913ca27b15b5"),
 ]
 
 

@@ -1,8 +1,8 @@
 """Exact thresholds, tournament theorems and the paper strategies' gaps.
 
-One module-wide table of exact solves serves the threshold table at
-n = 3..5 and the relations that hold on every tournament, checked at
-n = 3..5 and p, q <= 3.  The relations are theorems, not solver output,
+The session's table of exact solves (conftest's ``solved``) serves the
+threshold table at n = 3..5 and the relations that hold on every
+tournament, checked at n = 3..5 and p, q <= 3.  The relations are theorems, not solver output,
 so they check the solver:
 
 - a tournament with a cycle has a 3-cycle, and a tournament is
@@ -13,17 +13,12 @@ so they check the solver:
   a tournament has a k-cycle iff a strong component has >= k vertices.
 """
 
-import functools
-from types import SimpleNamespace
-
 import pytest
 
-from orientgames import solver
 from orientgames.engine import BREAKER, MAKER, property_from_key
 from orientgames.errors import BudgetExceeded
 from orientgames.solver import (
     SOLVER_MAX_BIAS,
-    solve_orientation_game,
     threshold_scan,
     verify_strategy_vs_all,
 )
@@ -48,7 +43,9 @@ THRESHOLDS = {
     C5: (1, 1, 2, 2),
 }
 # The n = 6 scans run here take 0.5-4 s each; the cycle row is
-# test_solver's, and the other rows take 3-17 s each.
+# test_solver's, and the other rows take 3-17 s each.  The session cache
+# shares the Hamiltonicity and min-in-degree games with test_solver's
+# settling-move pins.
 CHEAP_AT_N6 = ["hamiltonicity", "min-indegree-positive", "nonkcol:2"]
 
 SMALL_NS = (3, 4, 5)
@@ -56,12 +53,9 @@ BIASES = range(1, SOLVER_MAX_BIAS + 1)
 
 
 @pytest.fixture(scope="module")
-def winner():
-    """winner(property key, n, p, q), each game solved once per module."""
-    @functools.cache
-    def solve(key, n, p, q):
-        return solve_orientation_game(n, p, q, property_from_key(key)).winner
-    return solve
+def winner(solved):
+    """winner(property key, n, p, q), each game solved once per session."""
+    return lambda key, n, p, q: solved(n, p, q, key).winner
 
 
 def games():
@@ -69,18 +63,13 @@ def games():
 
 
 @pytest.mark.parametrize("key", THRESHOLDS)
-def test_threshold_table_up_to_n5(key, winner, monkeypatch):
-    # threshold_scan's bracket check, run over the module's solves.
-    def solve(n, p, q, prop):
-        return SimpleNamespace(winner=winner(prop.key(), n, p, q))
-
-    monkeypatch.setattr(solver, "solve_orientation_game", solve)
+def test_threshold_table_up_to_n5(key, cached_solves):
     assert [threshold_scan(n, property_from_key(key)) for n in SMALL_NS] == list(
         THRESHOLDS[key][:3])
 
 
 @pytest.mark.parametrize("key", CHEAP_AT_N6)
-def test_threshold_table_at_n6(key):
+def test_threshold_table_at_n6(key, cached_solves):
     assert threshold_scan(6, property_from_key(key)) == THRESHOLDS[key][3]
 
 
