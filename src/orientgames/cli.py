@@ -248,7 +248,7 @@ def _write_cache(path: str, doc: dict) -> None:
 
 def cmd_solve(args) -> int:
     prop = property_from_key(args.property)
-    cache_key = f"n={args.n};p={args.p};q={args.q};prop={args.property}"
+    cache_key = f"n={args.n};p={args.p};q={args.q};prop={prop.key()}"
     cache = _load_cache(args.cache) if args.cache else None
     if cache is not None and cache_key in cache["results"] and not args.pv:
         winner = cache["results"][cache_key]["winner"]
@@ -338,6 +338,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_template(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ParseError(f"--k must be at least 1, got {args.k}")
+    if args.samples < 0:
+        raise ParseError(f"--samples must be at least 0, got {args.samples}")
     if args.verify:
         with open(args.verify) as fh:
             board = Board.from_text(fh.read())
@@ -347,7 +351,7 @@ def cmd_template(args) -> int:
         adj = np.zeros((n, n), dtype=bool)
         for (u, v) in board.arcs():
             adj[u, v] = True
-        k = args.k if args.k else default_expansion_size(n)
+        k = args.k if args.k is not None else default_expansion_size(n)
         rng = np.random.default_rng(args.seed)
         ok = audit_template(adj, k, args.samples, rng)
         print(f"expansion audit at k={k}, {args.samples} samples: {'pass' if ok else 'FAIL'}")

@@ -273,10 +273,15 @@ def max_scc_size(board: Board) -> int:
 def hamilton_cycle(board: Board):
     """Hamilton cycle of a strongly connected tournament, or None.
 
-    Builds the cycle by repeated extension: start from a directed triangle;
-    an outside vertex either splices in at a consecutive in/out switch, or,
-    when all its arcs to the cycle point one way, is routed in through a
-    shortest outside path (which exists by strong connectivity).
+    The extension step of the textbook proof of Camion's theorem (Moon,
+    "Topics on Tournaments", 1968), over the out-neighbour masks.  Start
+    from a directed triangle.  While vertices are left out, splice in one
+    with arcs both ways to the cycle, between a cycle vertex that points
+    to it and the next, which it points to.  Otherwise every outside
+    vertex is beaten by the whole cycle (set A) or beats it (set B); an
+    arc a->b from A to B gives the cycle c0->a->b->c1->..., two vertices
+    longer.  With no such arc, nothing in B is reached from the cycle, or
+    nothing in A reaches it, so the tournament is not strongly connected.
 
     Convention: the one-vertex tournament counts as Hamiltonian and yields
     the trivial cycle [0], keeping "Hamiltonian iff strongly connected"
@@ -287,73 +292,40 @@ def hamilton_cycle(board: Board):
     n = board.n
     if n == 1:
         return [0]
-    if not is_strongly_connected(board):
-        return None
     cyc = find_cycle(board)
-    assert cyc is not None and len(cyc) == 3
-    in_cyc = [False] * n
+    if cyc is None:
+        return None
+    masks = [board.out_mask(v) for v in range(n)]
+    inside = 0  # bitmask of the cycle's vertices
     for v in cyc:
-        in_cyc[v] = True
+        inside |= 1 << v
     while len(cyc) < n:
-        v = next(w for w in range(n) if not in_cyc[w])
-        r = len(cyc)
-        spliced = False
-        for i in range(r):
-            if board.arc(cyc[i], v) == 1 and board.arc(v, cyc[(i + 1) % r]) == 1:
-                cyc = cyc[: i + 1] + [v] + cyc[i + 1 :]
-                in_cyc[v] = True
-                spliced = True
+        a_side = b_side = 0  # the docstring's sets A and B, as bitmasks
+        rest = ((1 << n) - 1) ^ inside
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            beats = masks[v] & inside
+            if not beats:
+                a_side |= bit
+            elif beats == inside:
+                b_side |= bit
+            else:  # cyc[i - 1] -> v -> cyc[i] for some i
+                i = next(i for i, c in enumerate(cyc)
+                         if beats >> c & 1 and not beats >> cyc[i - 1] & 1)
+                cyc.insert(i, v)
+                inside |= bit
                 break
-        if spliced:
-            continue
-        # All arcs between v and the cycle point the same way.
-        if board.arc(cyc[0], v) == 1:
-            # Cycle dominates v: shortest path from v back to the cycle.
-            path = _path_to_targets(board, v, in_cyc)
-            i = cyc.index(path[-1])
-            cyc = cyc[:i] + path[:-1] + cyc[i:]
         else:
-            # v dominates the cycle: shortest path from the cycle to v,
-            # found by walking backward from v.
-            path = _path_to_targets(board, v, in_cyc, backward=True)
-            path.reverse()  # now starts at a cycle vertex, ends at v
-            j = cyc.index(path[0])
-            cyc = cyc[: j + 1] + path[1:] + cyc[j + 1 :]
-        for w in path:
-            if not in_cyc[w]:
-                in_cyc[w] = True
+            a = next((a for a in range(n) if a_side >> a & 1 and masks[a] & b_side), None)
+            if a is None:
+                return None
+            link = masks[a] & b_side
+            b = (link & -link).bit_length() - 1
+            cyc[1:1] = [a, b]
+            inside |= 1 << a | 1 << b
     return cyc
-
-
-def _path_to_targets(board: Board, start: int, target: list[bool], backward=False):
-    """BFS path [start, ..., t] whose interior avoids targets, t a target."""
-    n = board.n
-    prev = [-1] * n
-    seen = [False] * n
-    seen[start] = True
-    queue = [start]
-    want = -1 if backward else 1
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in range(n):
-                if w == v or seen[w]:
-                    continue
-                if board.arc(v, w) != want:
-                    continue
-                prev[w] = v
-                if target[w]:
-                    path = [w]
-                    x = w
-                    while x != start:
-                        x = prev[x]
-                        path.append(x)
-                    path.reverse()
-                    return path
-                seen[w] = True
-                nxt.append(w)
-        queue = nxt
-    raise AssertionError("no path found; board not strongly connected?")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ deep-copies the strategy only on branches where it is about to move.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 from .board import Board
@@ -174,28 +175,24 @@ class VerifyResult:
 
 
 def _opponent_turn_boards(board: Board, bias: int):
-    """Distinct boards reachable by 1..bias single orientations.
+    """Distinct boards one opponent turn of 1..bias arcs can reach.
 
-    Yields (representative move, resulting board).  Deduplicated by the
-    reached position: arc order within a turn is unobservable.
+    Yields (move, resulting board) in canonical_key order.  Each set of
+    open pairs is oriented every way once; arc order within a turn is
+    unobservable, and the move lists its arcs in descending pair order.
     """
-    seen = {}
-    frontier = {board.canonical_key(): (board, ())}
-    for _ in range(min(bias, board.undirected_count)):
-        nxt = {}
-        for _, (b, moves) in sorted(frontier.items()):
-            for (u, v) in b.undirected_pairs():
-                for arc in ((u, v), (v, u)):
-                    b2 = b.copy()
+    ways = [((u, v), (v, u)) for (u, v) in reversed(board.undirected_pairs())]
+    turns = []
+    for k in range(1, min(bias, len(ways)) + 1):
+        for chosen in itertools.combinations(ways, k):
+            for arcs in itertools.product(*chosen):
+                b2 = board.copy()
+                for arc in arcs:
                     b2.orient(*arc)
-                    key = b2.canonical_key()
-                    if key not in seen and key not in nxt:
-                        nxt[key] = (b2, moves + (arc,))
-        seen.update(nxt)
-        frontier = nxt
-    for key in sorted(seen):
-        b2, moves = seen[key]
-        yield moves, b2
+                turns.append((b2.canonical_key(), arcs, b2))
+    turns.sort()  # the keys are distinct, so no two boards are compared
+    for _, move, b2 in turns:
+        yield move, b2
 
 
 def verify_strategy_vs_all(strategy_factory, role: str, n: int, p: int, q: int, prop,

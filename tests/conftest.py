@@ -343,6 +343,26 @@ def reference_sampled_membership(n, k, seed, budget=4096):
     return a_mem, b_mem
 
 
+def reference_opponent_boards(board, bias):
+    """(move, board) for every board one turn of 1..bias arcs reaches, in
+    canonical_key order.  Breadth first over single arcs; the first move,
+    in key then pair order, to reach a board stands for it."""
+    seen, frontier = {}, {board.canonical_key(): (board, ())}
+    for _ in range(min(bias, board.undirected_count)):
+        nxt = {}
+        for _, (b, moves) in sorted(frontier.items()):
+            for (u, v) in b.undirected_pairs():
+                for arc in ((u, v), (v, u)):
+                    b2 = b.copy()
+                    b2.orient(*arc)
+                    key = b2.canonical_key()
+                    if key not in seen and key not in nxt:
+                        nxt[key] = (b2, moves + (arc,))
+        seen.update(nxt)
+        frontier = nxt
+    return [(seen[key][1], seen[key][0]) for key in sorted(seen)]
+
+
 def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     """(ok, nodes, counterexample) of the strategy verifier as first
     written: every opponent board gets its own deep copy of the strategy,
@@ -354,24 +374,6 @@ def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     own_bias, opp_bias = (p, q) if role == MAKER else (q, p)
     nodes = [0]
     verified = set()
-
-    def opponent_boards(board):
-        # Breadth first over 1..opp_bias single arcs; the first move, in
-        # key then pair order, to reach a board stands for it.
-        seen, frontier = {}, {board.canonical_key(): (board, ())}
-        for _ in range(min(opp_bias, board.undirected_count)):
-            nxt = {}
-            for _, (b, moves) in sorted(frontier.items()):
-                for (u, v) in b.undirected_pairs():
-                    for arc in ((u, v), (v, u)):
-                        b2 = b.copy()
-                        b2.orient(*arc)
-                        key = b2.canonical_key()
-                        if key not in seen and key not in nxt:
-                            nxt[key] = (b2, moves + (arc,))
-            seen.update(nxt)
-            frontier = nxt
-        return [(seen[key][1], seen[key][0]) for key in sorted(seen)]
 
     def strategy_turn(board, strat, transcript):
         nodes[0] += 1
@@ -400,7 +402,7 @@ def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
         return opponent_turn(board, strat, transcript)
 
     def opponent_turn(board, strat, transcript):
-        for moves, b2 in opponent_boards(board):
+        for moves, b2 in reference_opponent_boards(board, opp_bias):
             s2 = copy.deepcopy(strat)
             s2.observe(b2, opp_role, moves)
             bad = after_move(b2, s2, transcript + [(opp_role, moves)])

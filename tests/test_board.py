@@ -186,6 +186,16 @@ def test_from_text_errors():
         Board.from_text("n=3\n0>1\n1>0\n")
 
 
+# Counts and arcs in ASCII digits alone, as game records read them.
+@pytest.mark.parametrize("text", [
+    "n=1_0\n", "n=+3\n", "n=\u0663\n", "n=3\n+0>1\n", "n=3\n0>\u0661\n",
+    "n=3\n0>1_0\n", "n=3\n0 > 1\n", "n=3\n0>1,1>2\n",
+], ids=repr)
+def test_from_text_reads_ascii_digits_only(text):
+    with pytest.raises(ParseError):
+        Board.from_text(text)
+
+
 def test_relabeled_preserves_structure(rng):
     b = random_oriented_graph(6, rng)
     perm = [3, 1, 4, 5, 0, 2]

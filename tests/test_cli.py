@@ -425,3 +425,78 @@ def test_template_without_n_or_verify(tmp_path, capsys):
     assert run(["template", "--out", str(tmp_path / "t.tour")]) == 2
     assert "needs --n or --verify" in capsys.readouterr().err
     assert not (tmp_path / "t.tour").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--n", "5", "--k", "0"], "--k must be at least 1, got 0"),
+    (["--n", "6", "--samples", "-5"], "--samples must be at least 0, got -5"),
+    (["--verify", "TRI", "--k", "0"], "--k must be at least 1, got 0"),
+])
+def test_template_refuses_a_bad_count(tmp_path, capsys, args, message):
+    # --k 0 used to reach numpy ("high <= 0") or, with --verify, to audit
+    # at the default k; --samples -5 wrote an unaudited template.
+    tri = tmp_path / "tri.tour"
+    tri.write_text("n=3\n0>1\n1>2\n2>0\n")
+    out = tmp_path / "t.tour"
+    args = [str(tri) if a == "TRI" else a for a in args]
+    assert run(["template", *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_solve_cache_is_keyed_on_the_property(tmp_path, capsys):
+    # The spellings "hamilton" and "hamiltonicity" name one property.
+    cache = tmp_path / "cache.json"
+    args = ["solve", "--n", "4", "--q", "2", "--cache", str(cache), "--property"]
+    assert run(args + ["hamilton"]) == 0
+    assert "cached" not in capsys.readouterr().out
+    assert run(args + ["hamiltonicity"]) == 0
+    assert "cached" in capsys.readouterr().out
+    assert list(json.loads(read(cache))["results"]) == ["n=4;p=1;q=2;prop=hamiltonicity"]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("n=x\n", "bad vertex count: 'x'"),
+    ("n=3\n0>x\n", "bad arc line: '0>x'"),
+    (None, "cannot read"),
+])
+def test_analyze_refuses_a_bad_file(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.tour"
+    if text is not None:
+        f.write_text(text)
+    assert run(["analyze", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags,spec,message", [
+    (["--n", "5,x", "--bias", "1"], None, "bad n list '5,x'"),
+    (["--n", ",", "--bias", "1"], None, "empty n list"),
+    (["--n", "5", "--bias-coef", ","], None, "empty bias coefficient list"),
+    ([], "n 5\n", "bad spec line 'n 5'"),
+    ([], "n = 6\nbias = 1\n", "sweep needs --out"),
+])
+def test_sweep_refuses_bad_input(tmp_path, capsys, flags, spec, message):
+    out = tmp_path / "x.csv"
+    args = ["sweep", *flags, "--maker", "maker-random", "--breaker", "breaker-random",
+            "--property", "cycle"]
+    if spec is None:
+        args += ["--out", str(out)]
+    else:
+        (tmp_path / "sweep.spec").write_text(spec)
+        args += ["--spec-file", str(tmp_path / "sweep.spec")]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_refuses_a_cache_of_another_schema(tmp_path, capsys):
+    cache = tmp_path / "cache.json"
+    cache.write_text(json.dumps({"schema": "orientgames-solve-cache/0", "results": {}}))
+    before = read(cache)
+    assert run(["solve", "--n", "3", "--property", "cycle", "--cache", str(cache)]) == 2
+    assert "unexpected cache schema" in capsys.readouterr().err
+    assert read(cache) == before

@@ -435,12 +435,14 @@ def test_from_json_rejects_bad_arc(arcs):
     lambda d: d.pop("early_stop"), lambda d: d.update(early_stop=0),
     lambda d: d.update(early_stop="false"), lambda d: d.update(early_stop=None),
     lambda d: d.update(n=0), lambda d: d.update(p=0), lambda d: d.update(q=-1),
+    lambda d: d.update(format="orientgames-record/3"),
 ], ids=["truncated", "list", "number", "format-only", "no-winner", "no-moves", "no-role",
         "str-n", "float-p", "null-q", "bool-seed", "str-rounds", "int-property",
         "moves-object", "move-list", "int-winner", "unknown-winner", "str-forced-round",
         "float-forced-round", "int-forfeit", "unknown-forfeit", "int-forfeit-reason",
         "str-digests", "int-digest", "no-early-stop", "int-early-stop",
-        "str-early-stop", "null-early-stop", "zero-n", "zero-p", "negative-q"])
+        "str-early-stop", "null-early-stop", "zero-n", "zero-p", "negative-q",
+        "unknown-format"])
 def test_from_json_rejects_malformed_record(text_or_edit):
     if callable(text_or_edit):
         doc = json.loads(record_with_arcs(["0>1"]))

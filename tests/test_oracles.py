@@ -141,7 +141,7 @@ def test_hamilton_trivials():
         hamilton_cycle(Board(3))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(6, marks=pytest.mark.slow)])
 def test_hamilton_exhaustive_small(n):
     for t in all_tournaments(n):
         _check_hamilton(t)
@@ -154,6 +154,20 @@ def test_hamilton_matches_bitmask_search(rng):
         brute = brute_hamilton_cycle(t)
         assert (ham is None) == (brute is None)
         _check_hamilton(t)
+
+
+def test_hamilton_two_vertex_step():
+    # The triangle 0->1->2->0 beats 3 and is beaten by 4, and 3->4: no
+    # outside vertex splices into the triangle, so the cycle grows by the
+    # arc 3->4 from the vertex the cycle beats to the one that beats it.
+    board = Board(5)
+    for arc in [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3),
+                (4, 0), (4, 1), (4, 2), (3, 4)]:
+        board.orient(*arc)
+    assert find_cycle(board) == [0, 1, 2]
+    ham = hamilton_cycle(board)
+    assert sorted(ham) == list(range(5))
+    assert is_directed_cycle(board, ham)
 
 
 # ---------------------------------------------------------------------------

@@ -396,10 +396,19 @@ def test_bad_property_parameters_raise_bad_config(make):
     "ck:2", "ck:1", "ck:x", "ck:", "nonkcol:0", "nonkcol:two",
     "contains:x:0>1", "contains:3", "contains:3:0-1", "contains:3:0>x", "contains:2:0>5",
     "contains:-2:", "contains:0:", "bogus",
+    # Counts and arcs in ASCII digits alone, as game records read them.
+    "ck:+3", "ck: 3", "ck:\u0663", "nonkcol:1_0", "contains:+3:0>1", "contains:3:0>\u0661",
+    "contains:3:0>1,", "contains:3:0>1,,1>2", "contains:3: 0>1",
 ])
 def test_bad_property_keys_raise_parse_error(key):
     with pytest.raises(ParseError):
         property_from_key(key)
+
+
+def test_property_keys_round_trip():
+    for key in ["cycle", "hamiltonicity", "min-indegree-positive", "ck:4", "nonkcol:2",
+                "contains:3:0>1,1>2,2>0", "contains:2:"]:
+        assert property_from_key(key).key() == key
 
 
 def test_record_with_bad_property_key_is_a_parse_error():

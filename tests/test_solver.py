@@ -40,7 +40,7 @@ from orientgames.strategies import (
 )
 from orientgames.strategies.potential import es_condition
 
-from conftest import disable_settling_moves, reference_verify
+from conftest import disable_settling_moves, reference_opponent_boards, reference_verify
 from test_thresholds import THRESHOLDS
 
 ALL_N3_PROPS = [
@@ -228,6 +228,21 @@ def test_pv_walk_is_neither_counted_nor_left_on_the_board(monkeypatch):
     assert len(r.pv) > 1
     board = calls[-1][0]
     assert board is not start and board == start
+
+
+def test_opponent_turn_boards_match_the_breadth_first_walk(rng):
+    for _ in range(300):
+        n, bias = rng.randint(2, 6), rng.randint(1, 4)
+        board = Board(n)
+        for (u, v) in board.undirected_pairs():
+            r = rng.random()
+            if r < 0.3:
+                board.orient(u, v)
+            elif r < 0.5:
+                board.orient(v, u)
+        got = [(move, b.canonical_key()) for move, b in solver._opponent_turn_boards(board, bias)]
+        want = [(move, b.canonical_key()) for move, b in reference_opponent_boards(board, bias)]
+        assert got == want, (board.to_text(), bias)
 
 
 def test_verifier_matches_solver_side():
