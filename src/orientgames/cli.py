@@ -23,7 +23,7 @@ import time
 import zlib
 
 from . import boxgame
-from .board import Board
+from .board import Board, parse_count
 from .engine import (
     MAKER,
     GameConfig,
@@ -108,10 +108,8 @@ def _sweep_cell(job):
 
 
 def _parse_int_list(text: str, what: str):
-    try:
-        values = [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ParseError(f"bad {what} list {text!r}") from None
+    values = [parse_count(x, f"{what} list {text!r} entry")
+              for x in text.split(",") if x.strip() != ""]
     if not values:
         raise ParseError(f"empty {what} list")
     return values
@@ -124,6 +122,9 @@ def biases_for(n: int, args):
         coefs = [float(c) for c in args.bias_coef.split(",") if c.strip() != ""]
         if not coefs:
             raise ParseError("empty bias coefficient list")
+        for c in coefs:
+            if not math.isfinite(c):
+                raise ParseError(f"bias coefficient must be finite, got {c}")
         if n < 2:
             raise ParseError(f"--bias-coef needs n >= 2 (ln n is 0 at n = 1), got n = {n}")
         return [max(1, math.floor(c * n / math.log(n))) for c in coefs]
@@ -131,7 +132,7 @@ def biases_for(n: int, args):
 
 
 SWEEP_DEFAULTS = {"p": 1, "seeds": 10, "seed": 0, "workers": 1}
-SWEEP_INT_KEYS = {"p", "seeds", "seed", "workers"}
+SWEEP_COUNT_KEYS = {"p", "seeds", "workers"}  # seed, like --seed, may be negative
 SPEC_KEYS = ("n", "bias", "bias_coef", "p", "maker", "breaker", "property",
              "seeds", "seed", "workers", "out")
 
@@ -160,7 +161,11 @@ def _merge_spec_file(args):
     for key in SPEC_KEYS:
         if getattr(args, key) is None and key in values:
             val = values[key]
-            setattr(args, key, int(val) if key in SWEEP_INT_KEYS else val)
+            if key in SWEEP_COUNT_KEYS:
+                val = parse_count(val, f"{key} in {args.spec_file}")
+            elif key == "seed":
+                val = int(val)
+            setattr(args, key, val)
     for key, default in SWEEP_DEFAULTS.items():
         if getattr(args, key) is None:
             setattr(args, key, default)

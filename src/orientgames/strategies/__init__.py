@@ -16,6 +16,7 @@ The string ids used by the command line:
 
 from __future__ import annotations
 
+from ..board import parse_count
 from ..engine import BREAKER, MAKER
 from ..errors import UnknownStrategy
 from ..oracles import PatternGraph
@@ -74,11 +75,11 @@ def build_strategy(spec: str):
     if name == "maker-cycle":
         return MakerCycle()
     if name == "maker-ck":
-        return MakerCk(int(arg))
+        return MakerCk(parse_count(arg, "cycle length"))
     if name == "maker-hamilton":
         return MakerHamilton()
     if name == "maker-nonkcol":
-        return MakerNonKColorable(int(arg))
+        return MakerNonKColorable(parse_count(arg, "colour count"))
     if name == "maker-random":
         return RandomStrategy(MAKER)
     if name == "breaker-outstar":

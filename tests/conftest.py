@@ -26,11 +26,17 @@ from orientgames.engine import (
     BREAKER,
     MAKER,
     GameConfig,
+    GameRecord,
     Property,
+    Strategy,
+    apply_move,
+    evaluate_property,
     forced_verdict,
+    other,
     property_from_key,
     strategy_rng,
 )
+from orientgames.errors import BadConfig
 from orientgames.solver import solve_orientation_game
 from orientgames.strategies.hamilton import E_BREAKER, E_FREE
 
@@ -419,6 +425,86 @@ def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     turn = strategy_turn if role == MAKER else opponent_turn
     bad = turn(board, strat, [])
     return bad is None, nodes[0], bad
+
+
+# The turn loop as it was written with a nested half-turn closure, kept
+# verbatim as the oracle for play_game's flat loop.  It shares the
+# package's move check, verdicts and record, so the two agree on any game
+# exactly when their loops walk the same half-turns.
+def reference_play_game(config: GameConfig, maker: Strategy, breaker: Strategy) -> GameRecord:
+    """Run one game to its verdict.
+
+    Alternates Maker then Breaker until the board is complete, stopping
+    early when the verdict is forced (if enabled).  An illegal move
+    forfeits the offending side; this is recorded separately from a
+    property loss.
+    """
+    if maker.role != MAKER or breaker.role != BREAKER:
+        raise BadConfig("strategies do not match their roles")
+    board = Board(config.n)
+    if board.is_tournament():  # n=1: nothing to orient, judge immediately
+        winner = MAKER if evaluate_property(board, config.prop) else BREAKER
+        digests = [board.digest()] if config.keep_digests else None
+        return GameRecord(config=config, transcript=[], winner=winner, rounds=0,
+                          digests=digests)
+    maker.start(config, strategy_rng(config, MAKER))
+    breaker.start(config, strategy_rng(config, BREAKER))
+    transcript: list = []
+    digests: list = [] if config.keep_digests else None
+    rounds = 0
+    winner = None
+    forced_round = None
+    forfeit = None
+    forfeit_reason = None
+
+    def half_turn(strategy: Strategy, bias: int):
+        nonlocal winner, forced_round, forfeit, forfeit_reason
+        move = strategy.next_move(board, transcript)
+        reason = apply_move(board, move, bias)
+        if reason is not None:
+            forfeit = strategy.role
+            forfeit_reason = reason
+            winner = other(strategy.role)
+            return False
+        move = tuple(move)
+        transcript.append((strategy.role, move))
+        maker.observe(board, strategy.role, move)
+        breaker.observe(board, strategy.role, move)
+        if config.early_stop and not board.is_tournament():
+            # Every earlier half-turn was judged and forced nothing; the
+            # empty board before the first one was never judged.
+            new_arcs = move if len(transcript) > 1 else None
+            verdict = forced_verdict(board, config.prop, new_arcs)
+            if verdict is not None:
+                winner = MAKER if verdict else BREAKER
+                forced_round = rounds
+                return False
+        return not board.is_tournament()
+
+    while True:
+        rounds += 1
+        if not half_turn(maker, config.p):
+            break
+        cont = half_turn(breaker, config.q)
+        if digests is not None and forfeit is None:
+            digests.append(board.digest())
+        if not cont:
+            break
+
+    if winner is None:
+        winner = MAKER if evaluate_property(board, config.prop) else BREAKER
+    if digests is not None:
+        digests.append(board.digest())
+    return GameRecord(
+        config=config,
+        transcript=transcript,
+        winner=winner,
+        rounds=rounds,
+        forced_round=forced_round,
+        forfeit=forfeit,
+        forfeit_reason=forfeit_reason,
+        digests=digests,
+    )
 
 
 def brute_fas_min(t, arcs):

@@ -41,6 +41,8 @@ def test_harmonic_values():
     assert harmonic(4) == Fraction(25, 12)
     assert isinstance(harmonic(10_001), float)
     assert abs(harmonic(10_001) - (math.log(10_001) + 0.5772156649)) < 1e-3
+    with pytest.raises(ValueError, match="need r >= 1, got 0"):
+        harmonic(0)
 
 
 def test_criteria_examples():
@@ -84,6 +86,10 @@ def test_solver_trivials():
     assert solve_box_game(1, 4, 3, "classic") == BOX_BREAKER
     with pytest.raises(BudgetExceeded):
         solve_box_game(7, 1, 1)
+    with pytest.raises(ValueError, match="need r, k, b >= 1"):
+        solve_box_game(2, 0, 1)
+    with pytest.raises(ValueError, match="unknown variant 'threebox'"):
+        solve_box_game(2, 2, 1, "threebox")
 
 
 def test_solver_monotonicity():
@@ -130,6 +136,8 @@ def test_breaker_bias_threshold_values():
     assert breaker_bias_threshold(2) == 2
     assert breaker_bias_threshold(100) == 26
     assert 25 * harmonic(25) < 100 <= 26 * harmonic(26)
+    with pytest.raises(ValueError, match="need n >= 2, got 1"):
+        breaker_bias_threshold(1)
 
 
 def test_breaker_bias_threshold_large_rate():

@@ -57,6 +57,24 @@ def test_play_rejects_bad_property_parameter(key, capsys):
     assert "winner" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("maker,message", [
+    ("maker-ck:1_0", "bad cycle length: '1_0'"),
+    ("maker-ck:+3", "bad cycle length: '+3'"),
+    ("maker-ck:", "bad cycle length: ''"),
+    ("maker-ck:2", "cycle target must be >= 3"),
+    ("maker-nonkcol: 2", "bad colour count: ' 2'"),
+    ("maker-nonkcol:0", "k must be >= 1"),
+    ("breaker-random", "strategies do not match their roles"),
+])
+def test_play_rejects_bad_maker(maker, message, capsys):
+    args = ["play", "--n", "5", "--maker", maker, "--breaker", "breaker-random",
+            "--property", "cycle", "--seed", "0"]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "winner" not in captured.out
+
+
 def test_play_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["play", "--n", "8", "--q", "2", "--maker", "maker-random",
@@ -386,6 +404,17 @@ def test_sweep_spec_file(tmp_path):
     assert len([r for r in rows2 if r["kind"] == "game"]) == 4
 
 
+def test_sweep_spec_file_reads_a_negative_seed(tmp_path):
+    # A seed is not a count: the spec file reads it as --seed does.
+    spec = tmp_path / "sweep.spec"
+    common = ["--n", "5", "--bias", "1", "--maker", "maker-random", "--breaker",
+              "breaker-random", "--property", "cycle", "--seeds", "2"]
+    spec.write_text("seed = -3\n")
+    assert run(["sweep", *common, "--spec-file", str(spec), "--out", str(tmp_path / "a.csv")]) == 0
+    assert run(["sweep", *common, "--seed", "-3", "--out", str(tmp_path / "b.csv")]) == 0
+    assert read(tmp_path / "a.csv") == read(tmp_path / "b.csv")
+
+
 def test_sweep_spec_file_refuses_an_unknown_key(tmp_path, capsys):
     spec = tmp_path / "sweep.spec"
     spec.write_text(
@@ -478,6 +507,17 @@ def test_analyze_refuses_a_bad_file(tmp_path, capsys, text, message):
     (["--n", "5", "--bias-coef", ","], None, "empty bias coefficient list"),
     ([], "n 5\n", "bad spec line 'n 5'"),
     ([], "n = 6\nbias = 1\n", "sweep needs --out"),
+    # Counts are ASCII digits, as everywhere else in the package.
+    (["--n", "1_0,+3, 4", "--bias", "1"], None, "bad n list '1_0,+3, 4' entry: '1_0'"),
+    (["--n", "5,+3", "--bias", "1"], None, "bad n list '5,+3' entry: '+3'"),
+    (["--n", "5", "--bias", "1, 4"], None, "bad bias list '1, 4' entry: ' 4'"),
+    ([], "n = 5\nbias = 1\np = +1\n", "bad p in"),
+    ([], "n = 5\nbias = 1\nseeds = 1_0\n", "bad seeds in"),
+    ([], "n = 5\nbias = 1\nworkers = ２\n", "bad workers in"),
+    # ln n scales a finite coefficient only.
+    (["--n", "10", "--bias-coef", "inf"], None, "bias coefficient must be finite, got inf"),
+    (["--n", "10", "--bias-coef", "1,-inf"], None, "bias coefficient must be finite, got -inf"),
+    (["--n", "10", "--bias-coef", "nan"], None, "bias coefficient must be finite, got nan"),
 ])
 def test_sweep_refuses_bad_input(tmp_path, capsys, flags, spec, message):
     out = tmp_path / "x.csv"

@@ -29,11 +29,11 @@ from orientgames.engine import (
     strategy_rng,
     validate_move,
 )
-from orientgames.errors import CorruptTranscript, NotATournament, ParseError
+from orientgames.errors import BadConfig, CorruptTranscript, NotATournament, ParseError
 from orientgames.oracles import PatternGraph
 from orientgames.strategies import RandomStrategy
 
-from conftest import random_tournament, reference_move_reason
+from conftest import random_tournament, reference_move_reason, reference_play_game
 
 
 class FirstPairStrategy(Strategy):
@@ -175,6 +175,14 @@ def test_low_high_play_is_transitive_breaker_win():
     rec = play_game(cfg, FirstPairStrategy(MAKER), FirstPairStrategy(BREAKER))
     assert rec.winner == BREAKER
     assert replay(rec) == trans(3)
+
+
+@pytest.mark.parametrize("sides", [(BREAKER, MAKER), (MAKER, MAKER), (BREAKER, BREAKER)])
+def test_play_game_refuses_strategies_in_the_wrong_roles(sides):
+    cfg = GameConfig(n=3, prop=Cycle(), seed=0)
+    maker, breaker = (FirstPairStrategy(role) for role in sides)
+    with pytest.raises(BadConfig, match="do not match their roles"):
+        play_game(cfg, maker, breaker)
 
 
 def test_forfeit_recorded_distinctly():
@@ -587,6 +595,67 @@ def test_one_vertex_games_judge_immediately():
     rec2 = play_game(cfg2, FirstPairStrategy(MAKER), FirstPairStrategy(BREAKER))
     assert rec2.winner == BREAKER
     assert forced_verdict(Board(1), Hamiltonicity()) is True
+
+
+class IllegalAt(Strategy):
+    """The inner strategy's moves, but an illegal one at its own turn
+    ``at``: the move with its last arc made a self-loop or a pair already
+    oriented, or the lowest open pairs, one more than the allowance."""
+
+    def __init__(self, inner, at, kind):
+        self.inner, self.at, self.kind = inner, at, kind
+        self.role = inner.role
+
+    def start(self, config, rng):
+        super().start(config, rng)
+        self.inner.start(config, rng)
+        self.turns = 0
+
+    def next_move(self, board, transcript):
+        self.turns += 1
+        move = tuple(self.inner.next_move(board, transcript))
+        if self.turns != self.at:
+            return move
+        if self.kind == "self-loop":
+            return move[:-1] + ((move[-1][0], move[-1][0]),)
+        if self.kind == "oriented":  # a pair oriented before, else one this move orients
+            arc = next(iter(board.arcs()), None)
+            return move[:-1] + (arc[::-1],) if arc else move + move[:1]
+        bias = self.config.p if self.role == MAKER else self.config.q
+        pairs = board.undirected_pairs()
+        return tuple((pairs * 2)[: min(bias, len(pairs)) + 1])
+
+    def observe(self, board, role, move):
+        self.inner.observe(board, role, move)
+
+
+def drawn_side(data, role):
+    at = data.draw(st.one_of(st.none(), st.integers(1, 8)), label=f"{role} forfeits at")
+    if at is None:
+        return lambda: RandomStrategy(role)
+    kind = data.draw(st.sampled_from(["self-loop", "oriented", "too-many"]), label=f"{role} kind")
+    return lambda: IllegalAt(RandomStrategy(role), at, kind)
+
+
+# The flat turn loop against the closure-based loop it replaced: the same
+# record, byte for byte, on random games that end on a complete board, on
+# a forced verdict, or on a forfeit by either side.
+@settings(max_examples=400)
+@given(st.data())
+def test_play_game_matches_reference_loop(data):
+    cfg = GameConfig(
+        n=data.draw(st.integers(1, 8), label="n"),
+        p=data.draw(st.integers(1, 3), label="p"),
+        q=data.draw(st.integers(1, 3), label="q"),
+        prop=data.draw(st.sampled_from([Cycle(), Hamiltonicity(), MinInDegreePositive()])),
+        seed=data.draw(st.integers(0, 999), label="seed"),
+        early_stop=data.draw(st.booleans(), label="early_stop"),
+        keep_digests=data.draw(st.booleans(), label="keep_digests"),
+    )
+    maker, breaker = drawn_side(data, MAKER), drawn_side(data, BREAKER)
+    rec = play_game(cfg, maker(), breaker())
+    assert rec.to_json() == reference_play_game(cfg, maker(), breaker()).to_json()
+    replay(rec)
 
 
 # ---------------------------------------------------------------------------

@@ -742,6 +742,8 @@ def test_build_strategy_ids(tmp_path):
         build_strategy("maker-unknown")
     with pytest.raises(UnknownStrategy):
         build_strategy("breaker-sigma:/nonexistent/file")
+    with pytest.raises(UnknownStrategy, match="needs a pattern file"):
+        build_strategy("breaker-sigma")
 
 
 # Every id build_strategy knows, with a small game it can play.  Only the
