@@ -115,6 +115,17 @@ def _parse_int_list(text: str, what: str):
     return values
 
 
+def _integer(flag: str):
+    """Reader for an integer flag: ASCII digits, as ``board.parse_count``
+    reads them, after an optional minus sign.  Each command checks the
+    range of its own values; ``--seed`` may be negative."""
+    def read(text: str) -> int:
+        digits = text.removeprefix("-")
+        value = parse_count(digits, flag)
+        return -value if digits != text else value
+    return read
+
+
 def biases_for(n: int, args):
     if args.bias:
         return _parse_int_list(args.bias, "bias")
@@ -164,7 +175,7 @@ def _merge_spec_file(args):
             if key in SWEEP_COUNT_KEYS:
                 val = parse_count(val, f"{key} in {args.spec_file}")
             elif key == "seed":
-                val = int(val)
+                val = _integer(f"seed in {args.spec_file}")(val)
             setattr(args, key, val)
     for key, default in SWEEP_DEFAULTS.items():
         if getattr(args, key) is None:
@@ -381,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     play = sub.add_parser("play", help="run one game and write its record")
-    play.add_argument("--n", type=int, required=True)
-    play.add_argument("--p", type=int, default=1)
-    play.add_argument("--q", type=int, default=1)
+    play.add_argument("--n", type=_integer("--n"), required=True)
+    play.add_argument("--p", type=_integer("--p"), default=1)
+    play.add_argument("--q", type=_integer("--q"), default=1)
     play.add_argument("--maker", required=True)
     play.add_argument("--breaker", required=True)
     play.add_argument("--property", required=True)
-    play.add_argument("--seed", type=int, default=0)
+    play.add_argument("--seed", type=_integer("--seed"), default=0)
     play.add_argument("--out")
     play.add_argument("--no-early-stop", action="store_true")
     play.set_defaults(func=cmd_play)
@@ -396,22 +407,22 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", help="comma list of board sizes")
     sweep.add_argument("--bias", help="comma list of Breaker biases")
     sweep.add_argument("--bias-coef", help="comma list c: bias = floor(c*n/ln n)")
-    sweep.add_argument("--p", type=int)
+    sweep.add_argument("--p", type=_integer("--p"))
     sweep.add_argument("--maker")
     sweep.add_argument("--breaker")
     sweep.add_argument("--property")
-    sweep.add_argument("--seeds", type=int, help="games per cell (default 10)")
-    sweep.add_argument("--seed", type=int, help="base seed (default 0)")
-    sweep.add_argument("--workers", type=int)
+    sweep.add_argument("--seeds", type=_integer("--seeds"), help="games per cell (default 10)")
+    sweep.add_argument("--seed", type=_integer("--seed"), help="base seed (default 0)")
+    sweep.add_argument("--workers", type=_integer("--workers"))
     sweep.add_argument("--out")
     sweep.add_argument("--spec-file", help="key = value file mirroring the flags")
     sweep.add_argument("--no-early-stop", action="store_true")
     sweep.set_defaults(func=cmd_sweep)
 
     solve = sub.add_parser("solve", help="exact small-board solving")
-    solve.add_argument("--n", type=int, required=True)
-    solve.add_argument("--p", type=int, default=1)
-    solve.add_argument("--q", type=int, default=1)
+    solve.add_argument("--n", type=_integer("--n"), required=True)
+    solve.add_argument("--p", type=_integer("--p"), default=1)
+    solve.add_argument("--q", type=_integer("--q"), default=1)
     solve.add_argument("--property", required=True)
     solve.add_argument("--pv", action="store_true", help="print a principal variation")
     solve.add_argument("--cache", help="path of the on-disk result table")
@@ -419,9 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     box = sub.add_parser("boxgame", help="solve a box game exactly")
     box.add_argument("action", nargs="?", default="solve", choices=["solve"])
-    box.add_argument("--boxes", type=int, required=True)
-    box.add_argument("--size", type=int, required=True)
-    box.add_argument("--bias", type=int, required=True)
+    box.add_argument("--boxes", type=_integer("--boxes"), required=True)
+    box.add_argument("--size", type=_integer("--size"), required=True)
+    box.add_argument("--bias", type=_integer("--bias"), required=True)
     box.add_argument("--variant", choices=["classic", "twobox"], default="classic")
     box.set_defaults(func=cmd_boxgame)
 
@@ -430,10 +441,10 @@ def build_parser() -> argparse.ArgumentParser:
     an.set_defaults(func=cmd_analyze)
 
     tpl = sub.add_parser("template", help="generate or verify a template tournament")
-    tpl.add_argument("--n", type=int)
-    tpl.add_argument("--seed", type=int, default=0)
-    tpl.add_argument("--k", type=int)
-    tpl.add_argument("--samples", type=int, default=10_000)
+    tpl.add_argument("--n", type=_integer("--n"))
+    tpl.add_argument("--seed", type=_integer("--seed"), default=0)
+    tpl.add_argument("--k", type=_integer("--k"))
+    tpl.add_argument("--samples", type=_integer("--samples"), default=10_000)
     tpl.add_argument("--out", default="template.tour")
     tpl.add_argument("--verify", help="audit an existing tournament file instead")
     tpl.set_defaults(func=cmd_template)
@@ -442,8 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

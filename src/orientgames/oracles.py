@@ -258,7 +258,38 @@ def scc_sizes(board: Board) -> list[int]:
 
 
 def is_strongly_connected(board: Board) -> bool:
-    return max(scc_sizes(board)) == board.n
+    """True iff every vertex reaches vertex 0 and vertex 0 reaches every
+    vertex, tested on the out-neighbour masks.
+
+    The forward walk ORs a whole frontier's masks per step.  The backward
+    sweep adds each vertex whose out-mask meets the set known to reach
+    vertex 0, pass after pass, until a pass adds none.
+    """
+    n = board.n
+    masks = [board.out_mask(v) for v in range(n)]
+    everyone = (1 << n) - 1
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & ~seen
+        seen |= frontier
+    if seen != everyone:
+        return False
+    back, grew = 1, True
+    while grew:
+        grew = False
+        rest = everyone ^ back
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if masks[bit.bit_length() - 1] & back:
+                back |= bit
+                grew = True
+    return back == everyone
 
 
 def max_scc_size(board: Board) -> int:

@@ -32,9 +32,9 @@ import zlib
 
 import numpy as np
 
-from ..board import Board
+from ..board import HIGH_LOW, LOW_HIGH, UNDIRECTED, Board
 from ..engine import BREAKER, MAKER, Strategy
-from ..errors import CriterionUnmet, NoAgreeingPair
+from ..errors import BadConfig, CriterionUnmet, NoAgreeingPair
 from .potential import HypergraphState, PotentialPlay, agreeing_arc
 
 E_FREE, E_MAKER, E_BREAKER = 0, 1, 2
@@ -96,12 +96,27 @@ def audit_template(adj: np.ndarray, k: int, samples: int, rng) -> bool:
     direction, a batch of samples at a time.  A random tournament passes
     a probe with probability about 1/2, so only the rare sample whose
     probes all miss one way gets the exact check of its whole block.
+
+    The audit is proved before it is sampled.  On a tournament (every
+    pair of distinct vertices joined by an arc), a cut (A, B) with no arc
+    from A to B has every arc from B to A, so any two vertices of A have
+    all of B among their common in-neighbours.  If no two distinct
+    vertices have k common in-neighbours (k >= 2), no cut is one-way, the
+    samples could only pass, and none is drawn.  Without the tournament
+    condition the bound is unsound: two disjoint directed cycles share no
+    in-neighbours yet have cuts with no arc at all.
     """
     n = adj.shape[0]
     if (adj.sum(axis=0) == 0).any() or (adj.sum(axis=1) == 0).any():
         return n <= 2
     if 2 * k > n:
         return True
+    if samples > 0 and k >= 2 and np.array_equal(adj | adj.T, ~np.eye(n, dtype=bool)):
+        a = adj.astype(np.float32)
+        common = a.T @ a  # common in-neighbours; exact in float32 below 2**24
+        np.fill_diagonal(common, 0)
+        if common.max() < k:
+            return True
     for done in range(0, samples, AUDIT_CHUNK):
         m = min(AUDIT_CHUNK, samples - done)
         perms = rng.permuted(np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (m, 1)), axis=1)
@@ -253,6 +268,20 @@ def cut_hypergraph(tstar: np.ndarray, k: int, threat_bias: int) -> HypergraphSta
     return HypergraphState(sets, threat_bias=threat_bias, blocker_bias=1, elements=elements)
 
 
+def _pair_matrices(board: Board) -> tuple[np.ndarray, np.ndarray]:
+    """The board as two n x n bool matrices read from its pair bytes:
+    pair {u, v} undirected (both cells), and arc u->v oriented."""
+    n = board.n
+    st = np.frombuffer(board.canonical_key(), np.uint8)
+    iu = np.triu_indices(n, 1)  # row-major, the order of the pair bytes
+    und = np.zeros((n, n), dtype=bool)
+    und[iu] = und.T[iu] = st == UNDIRECTED
+    fwd = np.zeros((n, n), dtype=bool)
+    fwd[iu] = st == LOW_HIGH
+    fwd.T[iu] = st == HIGH_LOW
+    return und, fwd
+
+
 class TemplateCutEngine:
     """Blocker-side potential play over a sample of ordered set-pair cuts of T*.
 
@@ -268,13 +297,7 @@ class TemplateCutEngine:
         n = board.n
         self.tstar = tstar
         self.threat_bias = threat_bias
-        und = np.zeros((n, n), dtype=bool)
-        for (u, v) in board.undirected_pairs():
-            und[u, v] = und[v, u] = True
-        self.und = und
-        fwd = np.zeros((n, n), dtype=bool)  # arc u->v oriented on board
-        for (u, v) in board.arcs():
-            fwd[u, v] = True
+        self.und, fwd = _pair_matrices(board)
         rng = np.random.default_rng([k, SAMPLE_BUDGET] + _seed_words(seed))
         budget = SAMPLE_BUDGET if 2 * k <= n else 0
         # Membership by vertex: row u says which sampled cuts have u in A
@@ -288,7 +311,7 @@ class TemplateCutEngine:
         self.b_mem[perms[:, k : 2 * k], cols] = True
         del perms  # freed before the float32 products below, which set the peak
         a = self.a_mem.astype(np.float32)
-        open_slots = (tstar & und).astype(np.float32)
+        open_slots = (tstar & self.und).astype(np.float32)
         self.rem = np.rint(((open_slots.T @ a) * self.b_mem).sum(axis=0)).astype(np.int64)
         closed = (tstar & fwd).astype(np.float32)
         hits = ((closed.T @ a) * self.b_mem).sum(axis=0)
@@ -454,7 +477,7 @@ class MakerNonKColorable(Strategy):
 
     def __init__(self, k: int):
         if k < 1:
-            raise ValueError("k must be >= 1")
+            raise BadConfig("k must be >= 1")
         self.k = k
 
     def start(self, config, rng):

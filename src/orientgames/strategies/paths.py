@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..board import Board
 from ..engine import BREAKER, MAKER, Strategy
-from ..errors import StrategyStuck
+from ..errors import BadConfig, StrategyStuck
 
 
 class MakerCycle(Strategy):
@@ -117,7 +117,7 @@ class MakerCk(MakerCycle):
 
     def __init__(self, k: int):
         if k < 3:
-            raise ValueError("cycle target must be >= 3")
+            raise BadConfig("cycle target must be >= 3")
         super().__init__(cycle_length=k)
 
 

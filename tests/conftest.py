@@ -38,7 +38,7 @@ from orientgames.engine import (
 )
 from orientgames.errors import BadConfig
 from orientgames.solver import solve_orientation_game
-from orientgames.strategies.hamilton import E_BREAKER, E_FREE
+from orientgames.strategies.hamilton import AUDIT_CHUNK, AUDIT_PROBES, E_BREAKER, E_FREE
 
 # Property tests draw the same examples on every run, so a Tier-1 result
 # never depends on which examples a run happened to try; no deadline,
@@ -347,6 +347,37 @@ def reference_sampled_membership(n, k, seed, budget=4096):
         a_mem[perm[:k], s] = True
         b_mem[perm[k : 2 * k], s] = True
     return a_mem, b_mem
+
+
+def reference_audit_template(adj: np.ndarray, k: int, samples: int, rng) -> bool:
+    """Sampled check that every size-k cut has arcs both ways.
+
+    audit_template as it was before it proved its answer from common
+    in-neighbour counts: it samples whenever samples > 0, kept verbatim
+    as the oracle for the proved audit.
+
+    Each sample draws disjoint k-sets A, B (the head of a random
+    permutation) and probes random slot pairs for an arc in each
+    direction, a batch of samples at a time.  A random tournament passes
+    a probe with probability about 1/2, so only the rare sample whose
+    probes all miss one way gets the exact check of its whole block.
+    """
+    n = adj.shape[0]
+    if (adj.sum(axis=0) == 0).any() or (adj.sum(axis=1) == 0).any():
+        return n <= 2
+    if 2 * k > n:
+        return True
+    for done in range(0, samples, AUDIT_CHUNK):
+        m = min(AUDIT_CHUNK, samples - done)
+        perms = rng.permuted(np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (m, 1)), axis=1)
+        u = np.take_along_axis(perms, rng.integers(0, k, (m, AUDIT_PROBES)), axis=1)
+        v = np.take_along_axis(perms, rng.integers(k, 2 * k, (m, AUDIT_PROBES)), axis=1)
+        seen_both = adj[u, v].any(axis=1) & adj[v, u].any(axis=1)
+        for s in np.flatnonzero(~seen_both):
+            a, b = perms[s, :k], perms[s, k : 2 * k]
+            if not adj[np.ix_(a, b)].any() or not adj[np.ix_(b, a)].any():
+                return False
+    return True
 
 
 def reference_opponent_boards(board, bias):

@@ -8,6 +8,7 @@ from orientgames import cli
 from orientgames.board import Board
 from orientgames.cli import main
 from orientgames.engine import GameRecord, MAKER, evaluate_property, replay
+from orientgames.strategies import generate_template, template_board
 
 
 def run(args):
@@ -73,6 +74,36 @@ def test_play_rejects_bad_maker(maker, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert "winner" not in captured.out
+
+
+GAME = ["--maker", "maker-random", "--breaker", "breaker-random", "--property", "cycle"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["play", "--n", "1_0", "--q", " 2", *GAME], "bad --n: '1_0'"),
+    (["play", "--n", "10", "--q", " 2", *GAME], "bad --q: ' 2'"),
+    (["play", "--n", "10", "--p", "+1", *GAME], "bad --p: '+1'"),
+    (["play", "--n", "10", "--seed", "1_0", *GAME], "bad --seed: '1_0'"),
+    (["solve", "--n", "4", "--q", "1_0", "--property", "cycle"], "bad --q: '1_0'"),
+    (["boxgame", "--boxes", "2", "--size", " 1", "--bias", "1"], "bad --size: ' 1'"),
+    (["template", "--n", "10", "--samples", "1e3"], "bad --samples: '1e3'"),
+    (["sweep", "--n", "5", "--bias", "1", "--workers", "٢", *GAME, "--out", "x.csv"],
+     "bad --workers: '٢'"),
+])
+def test_integer_flags_read_ascii_digits(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse's int() used to read "1_0" as 10 and " 2" as 2.
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seed_flags_stay_signed(tmp_path):
+    out = tmp_path / "t.tour"
+    assert run(["template", "--n", "8", "--seed", "-3", "--out", str(out)]) == 0
+    assert read(out) == template_board(generate_template(8, -3)).to_text()
 
 
 def test_play_byte_identical_reruns(tmp_path):

@@ -350,6 +350,14 @@ def test_mask_walks_match_adjacency_walks(tournament, data):
     assert scc_sizes(b) == _ref_scc_sizes(b)
 
 
+@pytest.mark.parametrize("tournament", [True, False])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_strong_connectivity_matches_tarjan(tournament, data):
+    b = data.draw(boards(12, tournament))
+    assert is_strongly_connected(b) == (max(_ref_scc_sizes(b)) == b.n)
+
+
 # ---------------------------------------------------------------------------
 # FAS oracles
 # ---------------------------------------------------------------------------

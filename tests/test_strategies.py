@@ -27,7 +27,7 @@ from orientgames.engine import (
     replay,
     strategy_rng,
 )
-from orientgames.errors import CriterionUnmet, FasTooSmall
+from orientgames.errors import CriterionUnmet, FasTooSmall, GameError
 from orientgames.oracles import (
     PatternGraph,
     contains_embedding,
@@ -59,11 +59,13 @@ from orientgames.strategies import (
     potential_blocker_move,
 )
 from orientgames.solver import verify_strategy_vs_all
+from orientgames.strategies import hamilton
 from orientgames.strategies.hamilton import (
     E_BREAKER,
     E_FREE,
     E_MAKER,
     DangerLedger,
+    _pair_matrices,
     cut_hypergraph,
 )
 from orientgames.strategies.random_play import _FreePairList
@@ -72,6 +74,7 @@ from conftest import (
     ReferenceFreePairList,
     back_arcs,
     boards,
+    reference_audit_template,
     reference_breaker_oriented,
     reference_pipeline_claims,
     reference_sampled_membership,
@@ -746,6 +749,14 @@ def test_build_strategy_ids(tmp_path):
         build_strategy("breaker-sigma")
 
 
+@pytest.mark.parametrize("spec,message", [("maker-ck:2", "cycle target must be >= 3"),
+                                          ("maker-nonkcol:0", "k must be >= 1")])
+def test_build_strategy_refuses_a_bad_parameter_with_a_game_error(spec, message):
+    # Both used to raise a bare ValueError.
+    with pytest.raises(GameError, match=message):
+        build_strategy(spec)
+
+
 # Every id build_strategy knows, with a small game it can play.  Only the
 # strategies that draw keep the generator start() hands them.
 DETERMINISTIC_IDS = [
@@ -860,6 +871,102 @@ def test_audit_without_samples_draws_nothing():
     rng = np.random.default_rng(0)
     assert audit_template(planted_one_way_cut(20), 2, 0, rng)
     assert rng.random() == np.random.default_rng(0).random()
+
+
+def _draws(audit, adj, k, samples=1_000):
+    """The audit's answer, and whether it drew from its generator."""
+    rng = np.random.default_rng(0)
+    ok = audit(adj, k, samples, rng)
+    return ok, rng.random() != np.random.default_rng(0).random()
+
+
+@pytest.mark.parametrize("adj,k", [(planted_one_way_cut(20), 2), (planted_one_way_cut(20), 5)])
+def test_audit_samples_a_one_way_cut(adj, k):
+    # Two vertices of A share all of B as in-neighbours, so the common
+    # in-neighbour bound cannot settle these: they reach the samples.
+    assert _draws(audit_template, adj, k) == (False, True)
+
+
+def test_audit_refuses_a_source_before_anything():
+    # A transitive tournament has a source, refused before the bound or
+    # any sample, as the sampled-only audit did.
+    assert _draws(audit_template, transitive(12), 2) == (False, False)
+    assert _draws(reference_audit_template, transitive(12), 2) == (False, False)
+
+
+def test_audit_bound_needs_a_tournament():
+    # Two disjoint directed 10-cycles: no two vertices share an
+    # in-neighbour, so the bound alone would pass them, yet a 2-set of
+    # each cycle is a cut with no arc either way.
+    adj = np.zeros((20, 20), dtype=bool)
+    for i in range(20):
+        adj[i, i + 1 if i % 10 < 9 else i - 9] = True
+    common = adj.T.astype(int) @ adj
+    np.fill_diagonal(common, 0)
+    assert common.max() == 0
+    assert _draws(audit_template, adj, 2) == (False, True)
+    assert _draws(reference_audit_template, adj, 2) == (False, True)
+
+
+def _paley7():
+    """The quadratic-residue tournament on 7 vertices: every two vertices
+    have exactly one common in-neighbour."""
+    b = Board(7)
+    for u in range(7):
+        for v in range(u + 1, 7):
+            b.orient(*((u, v) if (v - u) % 7 in (1, 2, 4) else (v, u)))
+    return b
+
+
+@settings(max_examples=200)
+@given(board=boards(9, tournament=True))
+@example(board=_paley7())
+def test_audit_bound_is_sound(board):
+    n = board.n
+    adj = np.zeros((n, n), dtype=bool)
+    for (u, v) in board.arcs():
+        adj[u, v] = True
+    common = max((sum(adj[w, a] and adj[w, b] for w in range(n))
+                  for a, b in itertools.combinations(range(n), 2)), default=0)
+    has_source_or_sink = any(not adj[:, v].any() or not adj[v].any() for v in range(n))
+    for k in range(2, n // 2 + 1):
+        ok, drew = _draws(audit_template, adj, k)
+        ref_ok, ref_drew = _draws(reference_audit_template, adj, k)
+        assert ok == ref_ok
+        if has_source_or_sink:
+            assert (ok, drew, ref_drew) == (False, False, False)
+        elif common < k:
+            # The bound fired: nothing drawn, and no cut of disjoint
+            # k-sets is one-way.
+            assert (ok, drew) == (True, False)
+            for a in itertools.combinations(range(n), k):
+                rest = [w for w in range(n) if w not in a]
+                for b in itertools.combinations(rest, k):
+                    assert adj[np.ix_(a, b)].any()
+        else:
+            assert drew and ref_drew
+
+
+# Sizes where the bound fires (400 at the default k, 100 at k=45), where
+# the samples pass (20, 40), and where tries fail (12 at k=3: every
+# try on seeds 0 and 1).
+TEMPLATE_GRID = [(12, 3), (20, 4), (40, 15), (100, 45), (400, None)]
+
+
+@pytest.mark.parametrize("n,k", TEMPLATE_GRID)
+@pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+def test_template_matches_sampled_only_audit(monkeypatch, n, k, seed):
+    def generate():
+        try:
+            return generate_template(n, seed, k=k)
+        except CriterionUnmet:
+            return None
+
+    proved = generate()
+    monkeypatch.setattr(hamilton, "audit_template", reference_audit_template)
+    sampled = generate()
+    assert (proved is None) == (sampled is None)
+    assert proved is None or np.array_equal(proved, sampled)
 
 
 # generate_template(400, seed) at the default k, which audits, as packed
@@ -992,6 +1099,20 @@ def test_sampled_cuts_match_per_sample_permutations(n, k, seed):
     engine = TemplateCutEngine(Board(n), tstar, k, threat_bias=3, seed=seed)
     a_mem, b_mem = reference_sampled_membership(n, k, seed)
     assert np.array_equal(engine.a_mem, a_mem) and np.array_equal(engine.b_mem, b_mem)
+
+
+@settings(max_examples=100)
+@given(board=boards(12, tournament=False))
+def test_pair_matrices_match_pair_loops(board):
+    n = board.n
+    und = np.zeros((n, n), dtype=bool)
+    for (u, v) in board.undirected_pairs():
+        und[u, v] = und[v, u] = True
+    fwd = np.zeros((n, n), dtype=bool)
+    for (u, v) in board.arcs():
+        fwd[u, v] = True
+    got_und, got_fwd = _pair_matrices(board)
+    assert np.array_equal(got_und, und) and np.array_equal(got_fwd, fwd)
 
 
 def test_stage2_config_formulas():
