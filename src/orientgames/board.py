@@ -41,11 +41,18 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def all_pairs(n: int):
-    """All unordered pairs (u, v), u < v, in canonical lexicographic order."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
+# The largest board.  It bounds the pair table, n(n-1)/2 bytes: 50 MB at
+# the limit.  The games, sweeps and docs stay far below it (n = 400 at most).
+MAX_VERTICES = 10_000
+
+
+def check_vertex_count(n: int) -> int:
+    """n, if a board may have n vertices; else OutOfRange."""
+    if n < 1:
+        raise OutOfRange(f"need n >= 1, got {n}")
+    if n > MAX_VERTICES:
+        raise OutOfRange(f"need n <= {MAX_VERTICES}, got {n}")
+    return n
 
 
 class Board:
@@ -54,9 +61,7 @@ class Board:
     __slots__ = ("n", "_st", "undirected_count", "_out", "_in", "_outm")
 
     def __init__(self, n: int):
-        if n < 1:
-            raise OutOfRange(f"need n >= 1, got {n}")
-        self.n = n
+        self.n = check_vertex_count(n)
         self._st = bytearray(pair_count(n))
         self.undirected_count = pair_count(n)
         self._out = [0] * n
@@ -317,30 +322,12 @@ class Board:
             b.orient(perm[u], perm[v])
         return b
 
-    def induced(self, vertices) -> "Board":
-        """Sub-board on the given vertices, renumbered in sorted order."""
-        vs = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(vs)}
-        b = Board(len(vs))
-        for u in vs:
-            for v in vs:
-                if u < v:
-                    a = self.arc(u, v)
-                    if a == 1:
-                        b.orient(index[u], index[v])
-                    elif a == -1:
-                        b.orient(index[v], index[u])
-        return b
-
     def __eq__(self, other):
         return (
             isinstance(other, Board)
             and self.n == other.n
             and self._st == other._st
         )
-
-    def __hash__(self):
-        return hash((self.n, bytes(self._st)))
 
     def __repr__(self):
         return f"Board(n={self.n}, oriented={pair_count(self.n) - self.undirected_count})"

@@ -104,13 +104,6 @@ class BoxGameState:
         twin.deficits, twin.destroyed = list(self.deficits), list(self.destroyed)
         return twin
 
-    def deficit(self, i: int) -> int:
-        """Unclaimed items of box i, virtual padding included."""
-        return self.deficits[i]
-
-    def real_deficit(self, i: int) -> int:
-        return max(0, self.deficits[i] - self.pad)
-
     def live_incomplete(self) -> list[int]:
         return [i for i, d in enumerate(self.deficits) if d > 0 and not self.destroyed[i]]
 

@@ -23,7 +23,7 @@ import time
 import zlib
 
 from . import boxgame
-from .board import Board, parse_count
+from .board import Board, check_vertex_count, parse_count
 from .engine import (
     MAKER,
     GameConfig,
@@ -322,9 +322,8 @@ def cmd_analyze(args) -> int:
     print(f"n = {board.n}, oriented arcs = {sum(1 for _ in board.arcs())}")
     if not board.is_tournament():
         print(f"not a tournament ({board.undirected_count} pairs undirected)")
-    pattern = PatternGraph(board.n, frozenset(board.arcs()))
     try:
-        value, sigma = fas_exact(pattern)
+        value, sigma = fas_exact(PatternGraph.from_board(board))
         order = sorted(range(board.n), key=lambda v: sigma[v])
         print(f"FAS = {value}, witness ordering = {order}")
     except GameError as e:
@@ -374,7 +373,8 @@ def cmd_template(args) -> int:
         return EXIT_OK if ok else EXIT_BAD_INPUT
     if args.n is None:
         raise ParseError("template needs --n or --verify")
-    adj = generate_template(args.n, args.seed, audit_samples=args.samples, k=args.k)
+    n = check_vertex_count(args.n)  # before numpy allocates its n x n arrays
+    adj = generate_template(n, args.seed, audit_samples=args.samples, k=args.k)
     board = template_board(adj)
     with open(args.out, "w") as fh:
         fh.write(board.to_text())

@@ -48,9 +48,6 @@ class PatternGraph:
             if (v, u) in self.arcs:
                 raise ParseError(f"pair {{{u},{v}}} oriented both ways")
 
-    def is_tournament(self) -> bool:
-        return len(self.arcs) == self.t * (self.t - 1) // 2
-
     def out_mask(self, v: int) -> int:
         m = 0
         for (a, b) in self.arcs:
@@ -65,8 +62,7 @@ class PatternGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "PatternGraph":
-        b = Board.from_text(text)
-        return cls(b.n, frozenset(b.arcs()))
+        return cls.from_board(Board.from_text(text))
 
     @classmethod
     def from_board(cls, board: Board) -> "PatternGraph":
@@ -145,11 +141,6 @@ def topological_order(board: Board):
             if not indeg[w]:
                 ready.append(w)
     return order if len(order) == board.n else None
-
-
-def reaches(board: Board, src: int, dst: int) -> bool:
-    """True iff a directed path leads from src to dst (src reaches itself)."""
-    return reaches_from(board, 1 << src, dst)
 
 
 def reaches_from(board: Board, sources: int, dst: int) -> bool:

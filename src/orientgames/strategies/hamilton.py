@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import zlib
 
 import numpy as np
 
@@ -57,7 +56,7 @@ def default_expansion_size(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def generate_template(n: int, seed, audit_samples: int = 10_000,
+def generate_template(n: int, seed: int, audit_samples: int = 10_000,
                       k: int | None = None) -> np.ndarray:
     """Seeded fair-coin tournament whose cut expansion passes a sampled audit.
 
@@ -77,11 +76,8 @@ def generate_template(n: int, seed, audit_samples: int = 10_000,
     raise CriterionUnmet(f"no template with two-way cut arcs found in {TEMPLATE_TRIES} tries")
 
 
-def _seed_words(seed) -> list[int]:
-    if isinstance(seed, int):
-        return [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
-    # Process-stable derivation for exotic seed types (hash() is salted).
-    return [zlib.crc32(repr(seed).encode())]
+def _seed_words(seed: int) -> list[int]:
+    return [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
 
 
 AUDIT_CHUNK = 1000  # samples per batch: that many permutations of n 2-byte ids
@@ -293,7 +289,7 @@ class TemplateCutEngine:
     and Maker's moves agree with T*.
     """
 
-    def __init__(self, board: Board, tstar: np.ndarray, k: int, threat_bias: int, seed=0):
+    def __init__(self, board: Board, tstar: np.ndarray, k: int, threat_bias: int, seed: int):
         n = board.n
         self.tstar = tstar
         self.threat_bias = threat_bias
@@ -382,16 +378,15 @@ class MakerHamilton(Strategy):
 
     role = MAKER
 
-    def __init__(self, k: int | None = None, audit_samples: int = 10_000):
+    def __init__(self, k: int | None = None):
         self.k_override = k
-        self.audit_samples = audit_samples
 
     def start(self, config, rng):
         super().start(config, rng)
         self.rng = rng
         n = config.n
         self.k = self.k_override if self.k_override is not None else default_expansion_size(n)
-        self.tstar = generate_template(n, config.seed, audit_samples=self.audit_samples, k=self.k)
+        self.tstar = generate_template(n, config.seed, k=self.k)
         self.round_cap = 8 * n  # stage-1 budget
         self.ledger = DangerLedger(n, config.q)
         self.stage = 1

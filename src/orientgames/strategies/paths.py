@@ -41,35 +41,28 @@ class MakerCycle(Strategy):
         return length >= self.k and (length - self.k) % (self.k - 2) == 0
 
     def _absorb(self, board: Board):
-        """Grow the path along arcs that already exist, until stable."""
-        path = self.path
+        """Grow the path along arcs that already exist, until stable.
+
+        The lowest outside vertex w with a slot goes in: in front if
+        w -> head, at the end if tail -> w, else between the first
+        consecutive pair u, x with u -> w -> x.  Then the scan starts over.
+        """
+        path, out = self.path, board.out_mask
         on_path = set(path)
-        changed = True
-        while changed:
-            changed = False
+        while True:
             for w in range(board.n):
                 if w in on_path:
                     continue
-                if board.arc(w, path[0]) == 1:
-                    path.insert(0, w)
+                r = len(path)
+                slot = next((s for s in (0, r, *range(1, r))
+                             if (s == 0 or out(path[s - 1]) >> w & 1)
+                             and (s == r or out(w) >> path[s] & 1)), None)
+                if slot is not None:
+                    path.insert(slot, w)
                     on_path.add(w)
-                    changed = True
                     break
-                if board.arc(path[-1], w) == 1:
-                    path.append(w)
-                    on_path.add(w)
-                    changed = True
-                    break
-                spliced = False
-                for i in range(len(path) - 1):
-                    if board.arc(path[i], w) == 1 and board.arc(w, path[i + 1]) == 1:
-                        path.insert(i + 1, w)
-                        on_path.add(w)
-                        changed = True
-                        spliced = True
-                        break
-                if spliced:
-                    break
+            else:
+                return
 
     def next_move(self, board: Board, transcript):
         if self.closed is not None:

@@ -21,7 +21,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from orientgames import solver
-from orientgames.board import Board, all_pairs
+from orientgames.board import Board
 from orientgames.engine import (
     BREAKER,
     MAKER,
@@ -49,7 +49,7 @@ settings.load_profile("tier1")
 
 def all_tournaments(n):
     """Every tournament on n labeled vertices, as Boards."""
-    pairs = list(all_pairs(n))
+    pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         b = Board(n)
         for i, (u, v) in enumerate(pairs):
@@ -62,7 +62,7 @@ def all_tournaments(n):
 
 def random_tournament(n, rng):
     b = Board(n)
-    for (u, v) in all_pairs(n):
+    for (u, v) in itertools.combinations(range(n), 2):
         if rng.random() < 0.5:
             b.orient(u, v)
         else:
@@ -76,7 +76,7 @@ def boards(draw, max_n, tournament):
     n = draw(st.integers(1, max_n))
     states = st.sampled_from([1, -1] if tournament else [0, 1, -1])
     b = Board(n)
-    for (u, v) in all_pairs(n):
+    for (u, v) in itertools.combinations(range(n), 2):
         s = draw(states)
         if s:
             b.orient(*((u, v) if s == 1 else (v, u)))
@@ -96,7 +96,7 @@ def brute_isomorphism_class(board):
 def random_oriented_graph(n, rng, density=0.5):
     """Random partial orientation: each pair oriented with prob density."""
     b = Board(n)
-    for (u, v) in all_pairs(n):
+    for (u, v) in itertools.combinations(range(n), 2):
         if rng.random() < density:
             if rng.random() < 0.5:
                 b.orient(u, v)
@@ -304,7 +304,7 @@ class ReferenceFreePairList:
     a dict keyed by the pair tuple, swap-with-last removal."""
 
     def __init__(self, n):
-        self.pairs = list(all_pairs(n))
+        self.pairs = list(itertools.combinations(range(n), 2))
         self.pos = {p: i for i, p in enumerate(self.pairs)}
 
     def remove(self, u, v):
@@ -456,6 +456,40 @@ def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
     turn = strategy_turn if role == MAKER else opponent_turn
     bad = turn(board, strat, [])
     return bad is None, nodes[0], bad
+
+
+# MakerCycle._absorb as it was written, with its changed/spliced flags and
+# board.arc calls, kept verbatim as the oracle for its slot search over
+# out-masks.  It grows path in place.
+def reference_absorb(path, board):
+    """Grow the path along arcs that already exist, until stable."""
+    on_path = set(path)
+    changed = True
+    while changed:
+        changed = False
+        for w in range(board.n):
+            if w in on_path:
+                continue
+            if board.arc(w, path[0]) == 1:
+                path.insert(0, w)
+                on_path.add(w)
+                changed = True
+                break
+            if board.arc(path[-1], w) == 1:
+                path.append(w)
+                on_path.add(w)
+                changed = True
+                break
+            spliced = False
+            for i in range(len(path) - 1):
+                if board.arc(path[i], w) == 1 and board.arc(w, path[i + 1]) == 1:
+                    path.insert(i + 1, w)
+                    on_path.add(w)
+                    changed = True
+                    spliced = True
+                    break
+            if spliced:
+                break
 
 
 # The turn loop as it was written with a nested half-turn closure, kept

@@ -206,8 +206,8 @@ def test_box_results_pinned(variant):
 
 def same_state(state, ref):
     boxes = range(len(ref.sizes))
-    assert [state.deficit(i) for i in boxes] == [ref.deficit(i) for i in boxes]
-    assert [state.real_deficit(i) for i in boxes] == [ref.real_deficit(i) for i in boxes]
+    assert state.deficits == [ref.deficit(i) for i in boxes]
+    assert [max(0, d - state.pad) for d in state.deficits] == [ref.real_deficit(i) for i in boxes]
     assert state.live_incomplete() == ref.live_incomplete()
     assert state.completed_count() == ref.completed_count()
 

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from orientgames import cli
-from orientgames.board import Board
+from orientgames.board import MAX_VERTICES, Board
 from orientgames.cli import main
 from orientgames.engine import GameRecord, MAKER, evaluate_property, replay
 from orientgames.strategies import generate_template, template_board
@@ -98,6 +98,20 @@ def test_integer_flags_read_ascii_digits(tmp_path, monkeypatch, capsys, argv, me
     assert message in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["play", "--n", str(10**20), *GAME],
+    ["analyze", "big.tour"],
+    ["template", "--n", str(10**20)],
+], ids=["play", "analyze", "template"])
+def test_sizes_above_the_board_limit_exit_2(tmp_path, monkeypatch, capsys, argv):
+    # play and analyze used to end in an OverflowError traceback.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.tour").write_text(f"n={10**20}\n")
+    assert run(argv) == 2
+    assert f"error: need n <= {MAX_VERTICES}, got {10**20}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.tour"]
 
 
 def test_seed_flags_stay_signed(tmp_path):

@@ -29,7 +29,7 @@ from orientgames.engine import (
     strategy_rng,
     validate_move,
 )
-from orientgames.errors import BadConfig, CorruptTranscript, NotATournament, ParseError
+from orientgames.errors import BadConfig, CorruptTranscript, GameError, NotATournament, ParseError
 from orientgames.oracles import PatternGraph
 from orientgames.strategies import RandomStrategy
 
@@ -408,6 +408,14 @@ def test_replay_rejects_endings_the_transcript_contradicts(name, fields, match):
     doc = json.loads(rec.to_json())
     doc.update(fields)
     with pytest.raises(CorruptTranscript, match=match):
+        replay(GameRecord.from_json(json.dumps(doc)))
+
+
+def test_replay_refuses_n_above_the_board_limit():
+    # Used to end in an OverflowError, and in a MemoryError at n = 10**7.
+    doc = json.loads(full_board_record().to_json())
+    doc["n"] = 10**20
+    with pytest.raises(GameError):
         replay(GameRecord.from_json(json.dumps(doc)))
 
 

@@ -74,6 +74,7 @@ from conftest import (
     ReferenceFreePairList,
     back_arcs,
     boards,
+    reference_absorb,
     reference_audit_template,
     reference_breaker_oriented,
     reference_pipeline_claims,
@@ -135,6 +136,20 @@ def test_maker_cycle_absorbs_free_arcs():
     m.path = [0, 1]
     m.next_move(b, [])
     assert m.path[0] == 3 and m.path[1] == 0
+
+
+@settings(max_examples=300)
+@given(data=st.data(), tournament=st.booleans())
+def test_absorb_matches_reference(data, tournament):
+    # The slot search over out-masks leaves the path the flagged scan did.
+    board = data.draw(boards(9, tournament))
+    start = data.draw(st.lists(st.integers(0, board.n - 1), min_size=1, unique=True))
+    m = started(MakerCycle(), n=board.n)
+    m.path = list(start)
+    m._absorb(board)
+    want = list(start)
+    reference_absorb(want, board)
+    assert m.path == want
 
 
 def test_maker_ck_closable_lengths():
@@ -420,13 +435,13 @@ def test_stage1_opening_move_is_seeded_and_lowest_tie():
     from orientgames.strategies import MakerHamilton
 
     cfg = GameConfig(n=40, p=1, q=4, prop=Cycle(), seed=5)
-    maker = MakerHamilton(audit_samples=100)
+    maker = MakerHamilton()
     maker.start(cfg, strategy_rng(cfg, MAKER))
     board = Board(40)
     move = maker.next_move(board, [])
     (u, v) = move[0]
     assert u == 0  # all dangers 0: the first first-copy vertex is eased
-    again = MakerHamilton(audit_samples=100)
+    again = MakerHamilton()
     again.start(cfg, strategy_rng(cfg, MAKER))
     assert again.next_move(Board(40), []) == move
 
@@ -658,7 +673,7 @@ def test_sigma_refuses_small_fas():
 def test_fas2_pattern_is_what_we_think():
     value, _ = fas_exact(FAS2_PATTERN)
     assert value == 2
-    assert FAS2_PATTERN.is_tournament()
+    assert len(FAS2_PATTERN.arcs) == 5 * 4 // 2  # a tournament
 
 
 def test_sigma_plays_forward_and_blocks():
@@ -1123,7 +1138,7 @@ def test_stage2_config_formulas():
     cfg = GameConfig(n=40, p=1, q=4, prop=Cycle(), seed=0)
     from orientgames.strategies import MakerHamilton
 
-    maker = MakerHamilton(audit_samples=50)
+    maker = MakerHamilton()
     maker.start(cfg, strategy_rng(cfg, MAKER))
     assert maker.round_cap == 8 * 40
     assert maker.k == default_expansion_size(40)
