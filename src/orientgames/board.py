@@ -368,9 +368,12 @@ _ARC_LIST = re.compile(r"[0-9]+>[0-9]+(?:,[0-9]+>[0-9]+)*")
 
 def parse_count(text: str, what: str) -> int:
     """The count in ``text``; ParseError naming ``what`` if it is not one."""
-    if not _COUNT.fullmatch(text):
-        raise ParseError(f"bad {what}: {text!r}")
-    return int(text)
+    if _COUNT.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what}: {text!r}")
 
 
 def parse_arcs(arcs) -> tuple:
@@ -391,7 +394,10 @@ def parse_arcs(arcs) -> tuple:
     if text is None or text.count(",") != len(arcs) - 1 or not _ARC_LIST.fullmatch(text):
         raise ParseError(f"bad arcs {arcs!r}")
     ends = map(int, text.replace(",", ">").split(">"))
-    return tuple(zip(ends, ends))
+    try:
+        return tuple(zip(ends, ends))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"bad arcs {arcs!r}") from None
 
 
 def _ranks(signatures) -> list[int]:

@@ -40,13 +40,7 @@ from .oracles import (
     k_colorable,
 )
 from .solver import solve_orientation_game
-from .strategies import (
-    audit_template,
-    build_strategy,
-    default_expansion_size,
-    generate_template,
-    template_board,
-)
+from .strategies import build_strategy
 
 CSV_SCHEMA = "orientgames-sweep/1"
 CACHE_SCHEMA = "orientgames-solve-cache/1"
@@ -191,6 +185,13 @@ def cmd_sweep(args) -> int:
         value = getattr(args, key)
         if value < 1:
             raise ParseError(f"--{key} must be at least 1, got {value}")
+    # Build each side once here, before any worker forks: a bad id or key
+    # exits 2 before a pool starts, and the workers inherit whatever module
+    # the strategies imported (numpy, for the template Makers) instead of
+    # each importing it again.
+    property_from_key(args.property)
+    build_strategy(args.maker)
+    build_strategy(args.breaker)
     ns = _parse_int_list(args.n, "n")
     jobs = []
     for n in ns:
@@ -357,6 +358,8 @@ def cmd_template(args) -> int:
         raise ParseError(f"--k must be at least 1, got {args.k}")
     if args.samples < 0:
         raise ParseError(f"--samples must be at least 0, got {args.samples}")
+    from .strategies import hamilton
+
     if args.verify:
         with open(args.verify) as fh:
             board = Board.from_text(fh.read())
@@ -366,16 +369,17 @@ def cmd_template(args) -> int:
         adj = np.zeros((n, n), dtype=bool)
         for (u, v) in board.arcs():
             adj[u, v] = True
-        k = args.k if args.k is not None else default_expansion_size(n)
-        rng = np.random.default_rng(args.seed)
-        ok = audit_template(adj, k, args.samples, rng)
+        k = args.k if args.k is not None else hamilton.default_expansion_size(n)
+        # Seeded as generate_template seeds its draws, so any integer works.
+        rng = np.random.default_rng(hamilton._seed_words(args.seed))
+        ok = hamilton.audit_template(adj, k, args.samples, rng)
         print(f"expansion audit at k={k}, {args.samples} samples: {'pass' if ok else 'FAIL'}")
         return EXIT_OK if ok else EXIT_BAD_INPUT
     if args.n is None:
         raise ParseError("template needs --n or --verify")
     n = check_vertex_count(args.n)  # before numpy allocates its n x n arrays
-    adj = generate_template(n, args.seed, audit_samples=args.samples, k=args.k)
-    board = template_board(adj)
+    adj = hamilton.generate_template(n, args.seed, audit_samples=args.samples, k=args.k)
+    board = hamilton.template_board(adj)
     with open(args.out, "w") as fh:
         fh.write(board.to_text())
     print(f"template tournament (n={args.n}) written to {args.out}")

@@ -12,6 +12,12 @@ The string ids used by the command line:
     breaker-sigma:<file>     ordering play against the pattern in <file>
     breaker-random           random pair, random direction
     breaker-greedy-star      starves one vertex of in-arcs at a time
+
+Only the Hamiltonicity and non-k-colourable Makers and their template
+machinery use numpy, and importing it costs more than the rest of the
+package.  So the names this package re-exports from ``.hamilton`` are
+resolved on first access, by the module-level ``__getattr__`` below, and
+a run that never builds one of those Makers never loads numpy.
 """
 
 from __future__ import annotations
@@ -21,16 +27,6 @@ from ..engine import BREAKER, MAKER
 from ..errors import UnknownStrategy
 from ..oracles import PatternGraph
 from .boxpipe import BreakerBoxHamilton
-from .hamilton import (
-    DangerLedger,
-    MakerHamilton,
-    MakerNonKColorable,
-    TemplateCutEngine,
-    audit_template,
-    default_expansion_size,
-    generate_template,
-    template_board,
-)
 from .paths import BreakerOutStar, MakerCk, MakerCycle
 from .potential import (
     HypergraphState,
@@ -68,6 +64,19 @@ __all__ = [
     "template_board",
 ]
 
+_HAMILTON_NAMES = frozenset({
+    "DangerLedger", "MakerHamilton", "MakerNonKColorable", "TemplateCutEngine",
+    "audit_template", "default_expansion_size", "generate_template", "template_board",
+})
+
+
+def __getattr__(name: str):
+    if name in _HAMILTON_NAMES:
+        from . import hamilton
+
+        return getattr(hamilton, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def build_strategy(spec: str):
     """Construct a strategy from its command-line id."""
@@ -77,8 +86,12 @@ def build_strategy(spec: str):
     if name == "maker-ck":
         return MakerCk(parse_count(arg, "cycle length"))
     if name == "maker-hamilton":
+        from .hamilton import MakerHamilton
+
         return MakerHamilton()
     if name == "maker-nonkcol":
+        from .hamilton import MakerNonKColorable
+
         return MakerNonKColorable(parse_count(arg, "colour count"))
     if name == "maker-random":
         return RandomStrategy(MAKER)
@@ -101,5 +114,6 @@ def _load_pattern_file(path: str) -> PatternGraph:
     try:
         with open(path) as fh:
             return PatternGraph.from_text(fh.read())
-    except OSError as e:
+    # ValueError: a NUL in the path, or bytes that are not text.
+    except (OSError, ValueError) as e:
         raise UnknownStrategy(f"cannot read pattern file {path!r}: {e}") from None

@@ -400,11 +400,15 @@ def reference_opponent_boards(board, bias):
     return [(seen[key][1], seen[key][0]) for key in sorted(seen)]
 
 
-def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
+def reference_verify(strategy_factory, role, n, p, q, prop, seed=0, memo=True):
     """(ok, nodes, counterexample) of the strategy verifier as first
     written: every opponent board gets its own deep copy of the strategy,
     which observes the move before the verdict is judged and before the
-    memo key (board, strategy state, last move) is taken."""
+    memo key (board, strategy state, last move) is taken.
+
+    With ``memo=False`` the walk skips no board it has verified before, so
+    its verdict does not rest on ``state_key`` telling apart every two
+    strategy states that play differently."""
     config = GameConfig(n=n, p=p, q=q, prop=prop, seed=seed, early_stop=False)
     goal = role == MAKER
     opp_role = BREAKER if role == MAKER else MAKER
@@ -416,7 +420,7 @@ def reference_verify(strategy_factory, role, n, p, q, prop, seed=0):
         nodes[0] += 1
         last_move = transcript[-1][1] if transcript else ()
         key = (board.canonical_key(), strat.state_key(), last_move)
-        if key in verified:
+        if memo and key in verified:
             return None
         move = strat.next_move(board, transcript)
         b2 = board.copy()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orientgames.board import MAX_VERTICES, Board, pair_count, pair_index
+from orientgames.board import MAX_VERTICES, Board, pair_count, pair_index, parse_arcs
 from orientgames.engine import apply_move, validate_move
 from orientgames.errors import AlreadyOriented, OutOfRange, ParseError, SelfLoop
 
@@ -209,6 +209,16 @@ def test_from_text_errors():
 def test_from_text_reads_ascii_digits_only(text):
     with pytest.raises(ParseError):
         Board.from_text(text)
+
+
+def test_counts_past_the_int_digit_limit_are_parse_errors():
+    # int() converts at most 4,300 digits; past that it raised a bare ValueError.
+    digits = "1" * 5000
+    for text in (f"n={digits}\n", f"n=3\n0>{digits}\n"):
+        with pytest.raises(ParseError):
+            Board.from_text(text)
+    with pytest.raises(ParseError):
+        parse_arcs([f"0>{digits}"])
 
 
 def test_relabeled_preserves_structure(rng):

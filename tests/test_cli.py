@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orientgames
 from orientgames import cli
 from orientgames.board import MAX_VERTICES, Board
 from orientgames.cli import main
@@ -13,6 +18,18 @@ from orientgames.strategies import generate_template, template_board
 
 def run(args):
     return main(args)
+
+
+def run_python(code, tmp_path, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    checkout's package, with ``tmp_path`` as its working directory."""
+    src = str(Path(orientgames.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def read(path):
@@ -235,6 +252,61 @@ def test_sweep_forks_no_more_workers_than_jobs(tmp_path, monkeypatch, seeds, wor
     assert read(a) == read(b)
 
 
+# Stubs the process pool as above, in a fresh interpreter, and reports
+# whether numpy was loaded when the pool was built.
+SWEEP_POOL_PROBE = """
+import sys
+from orientgames import cli
+
+class Pool:
+    def __init__(self, max_workers):
+        print("pool", "numpy" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+cli.concurrent.futures.ProcessPoolExecutor = Pool
+print("exit", cli.main(sys.argv[1:] + ["--seeds", "2", "--workers", "2", "--out", "s.csv"]))
+"""
+
+
+@pytest.mark.parametrize("maker,prop,output", [
+    ("maker-hamilton", "hamiltonicity", "pool True\n2 games -> s.csv\nexit 0\n"),
+    ("maker-random", "cycle", "pool False\n2 games -> s.csv\nexit 0\n"),
+    # An unknown id used to start the pool and fail in a worker.
+    ("maker-nonesuch", "cycle", "exit 2\n"),
+], ids=["maker-hamilton", "maker-random", "unknown-id"])
+def test_sweep_builds_its_strategies_before_the_pool(tmp_path, maker, prop, output):
+    # Forked workers inherit the modules the parent loaded, so a template
+    # Maker's numpy is imported once, before the fork, not in each worker.
+    argv = ["sweep", "--n", "12", "--bias", "1", "--maker", maker,
+            "--breaker", "breaker-random", "--property", prop]
+    assert run_python(SWEEP_POOL_PROBE, tmp_path, *argv) == output
+
+
+def test_runs_without_a_template_maker_never_load_numpy(tmp_path):
+    run_python("""
+import sys
+import orientgames.cli as cli
+assert "numpy" not in sys.modules
+assert cli.main(["solve", "--n", "4", "--q", "1", "--property", "cycle"]) == 0
+assert cli.main(["play", "--n", "8", "--q", "2", "--maker", "maker-random",
+                 "--breaker", "breaker-greedy-star", "--property", "min-indegree-positive",
+                 "--out", "g.json"]) == 0
+assert "numpy" not in sys.modules
+
+from orientgames import strategies
+strategies.build_strategy("maker-hamilton")
+assert "numpy" in sys.modules
+assert strategies.MakerHamilton is strategies.hamilton.MakerHamilton
+for name in strategies.__all__:
+    getattr(strategies, name)
+""", tmp_path)
+
+
 def test_sweep_aggregate_matches_rows(tmp_path):
     out = tmp_path / "s.csv"
     run(["sweep", "--n", "6", "--bias", "1", "--maker", "maker-random",
@@ -390,6 +462,15 @@ def test_template_generate_and_verify(tmp_path, capsys):
     board = Board.from_text(read(out))
     assert board.n == 60 and board.is_tournament()
     assert run(["template", "--verify", str(out), "--samples", "500"]) == 0
+    assert "pass" in capsys.readouterr().out
+
+
+def test_template_verify_reads_a_negative_seed(tmp_path, capsys):
+    # The audit used to hand the seed to numpy as it stood, which refused a
+    # negative one ("expected non-negative integer").
+    out = tmp_path / "t8.tour"
+    assert run(["template", "--n", "8", "--seed", "-3", "--out", str(out)]) == 0
+    assert run(["template", "--verify", str(out), "--seed", "-3"]) == 0
     assert "pass" in capsys.readouterr().out
 
 

@@ -11,7 +11,7 @@ import json
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orientgames.board import Board
@@ -29,7 +29,7 @@ from orientgames.engine import (
     forced_verdict,
     property_from_key,
 )
-from orientgames.errors import BadConfig, NotATournament, ParseError
+from orientgames.errors import BadConfig, GameError, NotATournament, ParseError
 from orientgames.oracles import (
     PatternGraph,
     contains_embedding,
@@ -408,6 +408,25 @@ def test_property_keys_round_trip():
     for key in ["cycle", "hamiltonicity", "min-indegree-positive", "ck:4", "nonkcol:2",
                 "contains:3:0>1,1>2,2>0", "contains:2:"]:
         assert property_from_key(key).key() == key
+
+
+@settings(max_examples=400)
+@given(key=st.builds(
+    str.__add__,
+    st.sampled_from(["", "ck:", "nonkcol:", "contains:", "contains:3:", "hamilton", "cycle"]),
+    st.text(st.one_of(st.sampled_from("0123456789:>,"), st.characters()), max_size=12),
+))
+@example(key="hamilton")
+@example(key="min-indegree")
+@example(key="ck:03")
+@example(key="contains:3:1>0,0>2,1>0")
+@example(key="ck:" + "9" * 5000)
+def test_every_property_key_reads_or_raises_a_game_error(key):
+    try:
+        prop = property_from_key(key)
+    except GameError:
+        return
+    assert property_from_key(prop.key()) == prop
 
 
 def test_record_with_bad_property_key_is_a_parse_error():

@@ -1,4 +1,5 @@
 import copy
+import functools
 import hashlib
 import itertools
 import random
@@ -532,6 +533,25 @@ def test_verifier_matches_reference(factory, args, seed):
     # result, node count included, is the reference's.
     r = verify_strategy_vs_all(factory, *args, seed=seed)
     assert (r.ok, r.nodes, r.counterexample) == reference_verify(factory, *args, seed=seed)
+
+
+# Every verifier pin up to n = 5, MakerCycle at n = 5, and random play on
+# every small cycle game, both roles.
+MEMO_FREE_CASES = (
+    [pin[:3] for pin in VERIFY_PINS if pin[1][1] <= 5]
+    + [(MakerCycle, (MAKER, 5, 1, 1, Cycle()), 0)]
+    + [(functools.partial(RandomStrategy, role), (role, n, 1, q, Cycle()), seed)
+       for role in (MAKER, BREAKER) for n in (4, 5) for q in (1, 2) for seed in range(4)]
+)
+
+
+@pytest.mark.parametrize("factory, args, seed", MEMO_FREE_CASES)
+def test_verifier_agrees_with_a_walk_without_memo(factory, args, seed):
+    # The verifier skips a board once (board, state_key, last move) is
+    # verified; a walk that skips nothing must reach the same verdict.
+    r = verify_strategy_vs_all(factory, *args, seed=seed)
+    ok, _, counterexample = reference_verify(factory, *args, seed=seed, memo=False)
+    assert (r.ok, r.counterexample is None) == (ok, counterexample is None)
 
 
 # The paper's H-creation Breaker on R5, the regular 5-vertex tournament

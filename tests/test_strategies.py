@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import orientgames.strategies as strategies_package
@@ -23,6 +23,7 @@ from orientgames.engine import (
     Hamiltonicity,
     MinInDegreePositive,
     NonKColorable,
+    Strategy,
     play_game,
     replay,
     strategy_rng,
@@ -770,6 +771,46 @@ def test_build_strategy_refuses_a_bad_parameter_with_a_game_error(spec, message)
     # Both used to raise a bare ValueError.
     with pytest.raises(GameError, match=message):
         build_strategy(spec)
+
+
+# Texts near the id grammar: a known name, then anything.
+SPEC_TEXTS = st.builds(
+    str.__add__,
+    st.sampled_from(["", "maker-", "breaker-", "maker-ck:", "maker-nonkcol:", "breaker-sigma:",
+                     "maker-hamilton", "breaker-box"]),
+    st.text(st.one_of(st.sampled_from("0123456789:-/."), st.characters()), max_size=10),
+)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=SPEC_TEXTS)
+# Every id in the package docstring, with a parameter where it takes one.
+@example(spec="maker-cycle")
+@example(spec="maker-ck:4")
+@example(spec="maker-hamilton")
+@example(spec="maker-nonkcol:2")
+@example(spec="maker-random")
+@example(spec="breaker-outstar")
+@example(spec="breaker-box")
+@example(spec="breaker-sigma:h.tour")
+@example(spec="breaker-random")
+@example(spec="breaker-greedy-star")
+# These two used to raise a bare ValueError.
+@example(spec="maker-ck:" + "9" * 5000)
+@example(spec="breaker-sigma:h\0.tour")
+def test_every_strategy_id_builds_or_raises_a_game_error(tmp_path, spec):
+    (tmp_path / "h.tour").write_text(FAS2_PATTERN.to_text())
+    name, colon, arg = spec.partition(":")
+    if name == "breaker-sigma" and colon:
+        # A pattern file named inside tmp_path, whatever the text says.
+        spec = f"breaker-sigma:{tmp_path / arg.replace('/', '_')}"
+    try:
+        strat = build_strategy(spec)
+    except GameError:
+        return
+    assert isinstance(strat, Strategy)
+    assert strat.role == (MAKER if spec.startswith("maker-") else BREAKER)
 
 
 # Every id build_strategy knows, with a small game it can play.  Only the
